@@ -370,7 +370,6 @@ def audit_summary(records: list[TrialRecord]) -> dict:
     when the denominator is zero.
     """
     total = len(records)
-    stages = {r.id or str(i): infer_termination_stage(r) for i, r in enumerate(records)}
     stage_of = [infer_termination_stage(r) for r in records]
 
     def count(pred) -> int:

@@ -85,11 +85,16 @@ def solve_monotone_root(
 ) -> RootResult:
     """Solve f(p) = target for a monotone f on [0, 1] by bisection.
 
-    If the target is not bracketed by f(0) and f(1), the nearer boundary is
+    A target equal to f(0) or f(1) gives that boundary exactly. If the
+    target is not bracketed by f(0) and f(1), the nearer boundary is
     returned with ``out_of_bracket`` set.
     """
     f0 = f(0.0)
+    if target == f0:
+        return RootResult(0.0)
     f1 = f(1.0)
+    if target == f1:
+        return RootResult(1.0)
     increasing = f1 >= f0
     lo_val, hi_val = (f0, f1) if increasing else (f1, f0)
     if target < lo_val:

@@ -17,7 +17,7 @@ from typing import Iterator, Literal, Optional
 
 import numpy as np
 
-from .binomial import binom_cdf, binom_pmf, binom_upper_tail
+from .binomial import binom_cdf, binom_pmf
 
 
 class InfeasibleDesignError(ValueError):
@@ -149,11 +149,6 @@ class OperatingCharacteristics:
         return dataclasses.asdict(self)
 
 
-def validate_design(design: TwoStageDesign) -> list[str]:
-    """All constraint violations of the design; empty when valid."""
-    return design.violations()
-
-
 def terminal_outcomes(
     design: TwoStageDesign, n_final: Optional[int] = None
 ) -> Iterator[TerminalOutcome]:
@@ -163,6 +158,36 @@ def terminal_outcomes(
         yield TerminalOutcome(s=s, stage=1, m=design.n1)
     for s in range(design.a1 + 1, nf + 1):
         yield TerminalOutcome(s=s, stage=2, m=nf)
+
+
+def terminal_pmf(
+    design: TwoStageDesign, p: float, n_final: Optional[int] = None
+) -> tuple[list[float], list[float]]:
+    """Exact distribution of the design's terminal outcomes under p.
+
+    ``stop[s]`` is P(stop at stage 1 with s successes) for s = 0..a1, and
+    ``cont[s]`` is P(continue and end with s total successes) for
+    s = 0..n_final, zero for s <= a1. Rejection probabilities, q-values,
+    interval tails, bias and coverage are all sums over these two rows.
+    """
+    d = design.require_valid()
+    nf = d.n if n_final is None else n_final
+    if nf <= d.n1:
+        raise ValueError(f"final sample size {nf} must exceed n1={d.n1}")
+    n2 = nf - d.n1
+    row1 = [binom_pmf(i, d.n1, p) for i in range(d.n1 + 1)]
+    row2 = [binom_pmf(j, n2, p) for j in range(n2 + 1)]
+    cont = [0.0] * (nf + 1)
+    for i in range(d.a1 + 1, d.n1 + 1):
+        w = row1[i]
+        for s, q in enumerate(row2, start=i):
+            cont[s] += w * q
+    return row1[: d.a1 + 1], cont
+
+
+def continuation_tail(cont: list[float], s: int) -> float:
+    """P(continue and end with at least s total successes)."""
+    return min(1.0, math.fsum(cont[s:]))
 
 
 def terminal_distribution(
@@ -181,18 +206,10 @@ def terminal_distribution(
         return binom_pmf(s, design.n1, p)
     if stage != 2:
         raise ValueError(f"stage must be 1 or 2, got {stage}")
-    if nf <= design.n1:
-        raise ValueError(f"final sample size {nf} must exceed n1={design.n1}")
+    _, cont = terminal_pmf(design, p, nf)
     if s > nf:
         raise ValueError(f"successes {s} exceed final sample size {nf}")
-    n2 = nf - design.n1
-    lo = max(design.a1 + 1, s - n2)
-    hi = min(design.n1, s)
-    if lo > hi:
-        return 0.0
-    return sum(
-        binom_pmf(i, design.n1, p) * binom_pmf(s - i, n2, p) for i in range(lo, hi + 1)
-    )
+    return cont[s] if s >= 0 else 0.0
 
 
 def pet(p: float, design: TwoStageDesign) -> float:
@@ -209,20 +226,12 @@ def expected_sample_size(p: float, design: TwoStageDesign) -> float:
 def reject_prob(p: float, design: TwoStageDesign) -> float:
     """Probability that the trial continues and the total exceeds a.
 
-    Computed as the tail probability of the outcome (a + 1, n), term for
-    term the same sum the adjusted p-value uses, so that comparing a
-    boundary p-value against the attained type-I error never splits on a
+    The same tail of the same kernel as the stage-2 p-value, so comparing
+    a boundary p-value against the attained type-I error never splits on a
     rounding difference.
     """
-    d = design.require_valid()
-    n2 = d.n - d.n1
-    return min(
-        1.0,
-        math.fsum(
-            binom_pmf(i, d.n1, p) * binom_upper_tail(d.a + 1 - i, n2, p)
-            for i in range(d.a1 + 1, d.n1 + 1)
-        ),
-    )
+    _, cont = terminal_pmf(design, p)
+    return continuation_tail(cont, design.a + 1)
 
 
 def operating_characteristics(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .binomial import binom_pmf, binom_upper_tail
-from .design import TwoStageDesign, reject_prob, terminal_distribution
+from .design import TwoStageDesign, continuation_tail, terminal_pmf
 
 
 @dataclass(frozen=True)
@@ -92,13 +92,8 @@ def reject_prob_retained(p: float, design: TwoStageDesign, n_an: int) -> float:
     d = design.require_valid()
     if n_an <= d.n1:
         raise ValueError(f"n_an={n_an} must exceed n1={d.n1}")
-    return min(
-        1.0,
-        math.fsum(
-            terminal_distribution(s, 2, p, d, n_final=n_an)
-            for s in range(d.a + 1, n_an + 1)
-        ),
-    )
+    _, cont = terminal_pmf(d, p, n_an)
+    return continuation_tail(cont, d.a + 1)
 
 
 def reject_prob_ek(p: float, design: TwoStageDesign, n_an: int) -> float:
@@ -113,12 +108,10 @@ def reject_prob_ek(p: float, design: TwoStageDesign, n_an: int) -> float:
         err = conditional_error(s1, d)
         if err == 0.0:
             continue
-        inner = math.fsum(
-            binom_pmf(s2, n2, p)
-            for s2 in range(n2 + 1)
-            if stage2_pvalue(s2, n2, p0) <= err
-        )
-        terms.append(binom_pmf(s1, d.n1, p) * inner)
+        # the stage-2 p-value does not increase in s2, so the rejection
+        # region is the upper tail from the first s2 whose p-value is <= err
+        c = next((s2 for s2 in range(n2 + 1) if stage2_pvalue(s2, n2, p0) <= err), n2 + 1)
+        terms.append(binom_pmf(s1, d.n1, p) * binom_upper_tail(c, n2, p))
     return min(1.0, math.fsum(terms))
 
 
@@ -159,16 +152,9 @@ def interpretation_probabilities(
         p1 = d.targets.p1 if p1 is None else p1
 
     def prob(indicator, p: float) -> float:
-        terms = [
-            terminal_distribution(s, 1, p, d)
-            for s in range(d.a1 + 1)
-            if indicator(s / d.n1)
-        ]
-        terms += [
-            terminal_distribution(s, 2, p, d, n_final=n_an)
-            for s in range(d.a1 + 1, n_an + 1)
-            if indicator(s / n_an)
-        ]
+        stop, cont = terminal_pmf(d, p, n_an)
+        terms = [stop[s] for s in range(d.a1 + 1) if indicator(s / d.n1)]
+        terms += [cont[s] for s in range(d.a1 + 1, n_an + 1) if indicator(s / n_an)]
         return min(1.0, math.fsum(terms))
 
     above_p0 = lambda est: est > p0

@@ -19,12 +19,17 @@ from typing import Callable, Optional
 from .binomial import (
     RootResult,
     binom_cdf,
-    binom_pmf,
     binom_upper_tail,
     normal_quantile,
     solve_monotone_root,
 )
-from .design import TerminalOutcome, TwoStageDesign, terminal_distribution, terminal_outcomes
+from .design import (
+    TerminalOutcome,
+    TwoStageDesign,
+    continuation_tail,
+    terminal_outcomes,
+    terminal_pmf,
+)
 
 ROOT_TOL = 1e-10
 
@@ -143,6 +148,12 @@ def estimate_naive(s: int, m: int) -> float:
     return s / m
 
 
+def _outcome_probs(design: TwoStageDesign, p: float) -> list[float]:
+    """Terminal-outcome probabilities, in the order of terminal_outcomes."""
+    stop, cont = terminal_pmf(design, p)
+    return stop + cont[design.a1 + 1 :]
+
+
 def _naive_procedure(s: int, m: int, design: TwoStageDesign) -> float:
     return s / m
 
@@ -157,11 +168,10 @@ def estimator_bias(
     ``estimator`` is either a procedure name ("naive", "umvue", ...) or a
     callable (s, m, design) -> value defined on every terminal outcome.
     """
-    design.require_valid()
     fn = _PROCEDURES[estimator] if isinstance(estimator, str) else estimator
     expected = math.fsum(
-        fn(o.s, o.m, design) * terminal_distribution(o.s, o.stage, p, design)
-        for o in terminal_outcomes(design)
+        fn(o.s, o.m, design) * prob
+        for o, prob in zip(terminal_outcomes(design), _outcome_probs(design, p))
     )
     return expected, expected - p
 
@@ -228,34 +238,21 @@ def estimate_umvcue(state: AnalysisState) -> float:
 
 
 def _log_continuation_prob(p: float, design: TwoStageDesign) -> float:
-    total = math.fsum(
-        binom_pmf(i, design.n1, p) for i in range(design.a1 + 1, design.n1 + 1)
-    )
-    return math.log(total)
+    return math.log(binom_upper_tail(design.a1 + 1, design.n1, p))
 
 
-def estimate_conditional(
-    state: AnalysisState, printed_success_coefficient: bool = False
-) -> float:
-    """Maximiser of the log-likelihood conditional on continuation.
-
-    The failure count multiplying log(1-p) is n - s; setting
-    ``printed_success_coefficient`` uses (n - n1) - s instead, for
-    compatibility with an alternative parameterisation.
-    """
+def estimate_conditional(state: AnalysisState) -> float:
+    """Maximiser of the log-likelihood conditional on continuation."""
     if state.stage == 1:
         return estimate_naive(state.s, state.m)
     d = state.analysis_design
     s, n = state.s, state.m
-    if s == n and not printed_success_coefficient:
+    if s == n:
         # likelihood is increasing up to the boundary
         return 1.0
-    fail = (n - d.n1) - s if printed_success_coefficient else n - s
 
     def loglik(p: float) -> float:
-        return (
-            s * math.log(p) + fail * math.log1p(-p) - _log_continuation_prob(p, d)
-        )
+        return s * math.log(p) + (n - s) * math.log1p(-p) - _log_continuation_prob(p, d)
 
     return _golden_max(loglik, 1e-12, 1.0 - 1e-12, tol=ROOT_TOL)
 
@@ -309,14 +306,8 @@ def q_value(
             raise ValueError(
                 f"(s={s}, m={m}) is not a stage-2 terminal outcome of the design"
             )
-        n2 = nf - d.n1
-        return min(
-            1.0,
-            math.fsum(
-                binom_pmf(i, d.n1, p) * binom_upper_tail(s - i, n2, p)
-                for i in range(d.a1 + 1, d.n1 + 1)
-            ),
-        )
+        _, cont = terminal_pmf(d, p, nf)
+        return continuation_tail(cont, s)
     raise ValueError(f"analysis sample size {m} is neither n1={d.n1} nor the final size {nf}")
 
 
@@ -345,12 +336,8 @@ def q_lower_value(
             raise ValueError(
                 f"(s={s}, m={m}) is not a stage-2 terminal outcome of the design"
             )
-        n2 = nf - d.n1
-        above = math.fsum(
-            binom_pmf(i, d.n1, p) * binom_upper_tail(s + 1 - i, n2, p)
-            for i in range(d.a1 + 1, d.n1 + 1)
-        )
-        return max(0.0, 1.0 - above)
+        stop, cont = terminal_pmf(d, p, nf)
+        return min(1.0, math.fsum(stop + cont[: s + 1]))
     raise ValueError(f"analysis sample size {m} is neither n1={d.n1} nor the final size {nf}")
 
 
@@ -441,17 +428,11 @@ def ci_midp(state: AnalysisState, level: float = 0.95) -> ConfidenceInterval:
     alpha_ci = _check_level(level)
     d = state.analysis_design
     observed = umvue_fraction(state.s, state.m, d)
-    outcomes = list(terminal_outcomes(d))
-    ranks = [umvue_fraction(o.s, o.m, d) for o in outcomes]
+    ranks = [umvue_fraction(o.s, o.m, d) for o in terminal_outcomes(d)]
+    weights = [0.0 if r < observed else 0.5 if r == observed else 1.0 for r in ranks]
 
     def tail(p: float) -> float:
-        terms = []
-        for o, r in zip(outcomes, ranks):
-            if r < observed:
-                continue
-            weight = 0.5 if r == observed else 1.0
-            terms.append(weight * terminal_distribution(o.s, o.stage, p, d))
-        return math.fsum(terms)
+        return math.fsum(w * prob for w, prob in zip(weights, _outcome_probs(d, p)))
 
     low = solve_monotone_root(tail, alpha_ci / 2.0, tol=ROOT_TOL)
     upp = solve_monotone_root(tail, 1.0 - alpha_ci / 2.0, tol=ROOT_TOL)
@@ -553,9 +534,11 @@ def coverage(
     else:
         def build(outcome, design_, level_):
             return interval_for_outcome(method, outcome, design_, level_)
-    terms = []
-    for o in terminal_outcomes(d_an):
-        ci = build(o, d_an, level)
-        if ci.contains(p):
-            terms.append(terminal_distribution(o.s, o.stage, p, d_an))
-    return min(1.0, math.fsum(terms))
+    return min(
+        1.0,
+        math.fsum(
+            prob
+            for o, prob in zip(terminal_outcomes(d_an), _outcome_probs(d_an, p))
+            if build(o, d_an, level).contains(p)
+        ),
+    )

@@ -12,6 +12,7 @@ from twostage.design import (
     InfeasibleDesignError,
     TwoStageDesign,
     admissible_set,
+    continuation_tail,
     expected_sample_size,
     operating_characteristics,
     pet,
@@ -19,7 +20,7 @@ from twostage.design import (
     search_designs,
     terminal_distribution,
     terminal_outcomes,
-    validate_design,
+    terminal_pmf,
 )
 
 TARGETS = DesignTargets(p0=0.1, p1=0.3, alpha=0.05, beta=0.2)
@@ -27,7 +28,7 @@ DESIGN = TwoStageDesign(a1=1, a=5, n1=10, n=29, targets=TARGETS)
 
 
 def test_validation_catches_ordering_violations():
-    assert validate_design(DESIGN) == []
+    assert DESIGN.violations() == []
     bad = TwoStageDesign(a1=5, a=3, n1=10, n=29)
     assert bad.violations()
     with pytest.raises(ValueError):
@@ -71,6 +72,18 @@ def test_terminal_distribution_against_path_enumeration():
             assert terminal_distribution(o.s, o.stage, p, DESIGN) == pytest.approx(
                 oracle[(o.s, o.m)], abs=1e-12
             )
+
+
+def test_terminal_pmf_rows_match_path_enumeration():
+    for p in (0.1, 0.3):
+        oracle = terminal_probs(1, 10, 29, p)
+        stop, cont = terminal_pmf(DESIGN, p)
+        assert len(stop) == 2 and len(cont) == 30
+        assert cont[:2] == [0.0, 0.0]
+        assert stop == pytest.approx([oracle[(s, 10)] for s in range(2)], abs=1e-12)
+        assert cont[2:] == pytest.approx([oracle[(s, 29)] for s in range(2, 30)], abs=1e-12)
+        assert continuation_tail(cont, DESIGN.a + 1) == reject_prob(p, DESIGN)
+        assert continuation_tail(cont, 30) == 0.0
 
 
 def test_terminal_distribution_known_value():

@@ -30,6 +30,7 @@ from twostage.inference import (
     estimator_bias,
     interval_for_outcome,
     p_value,
+    q_lower_value,
     q_value,
     umvcue_fraction,
     umvue_fraction,
@@ -147,6 +148,12 @@ def test_bias_adjusted_fixed_point():
     assert expected == pytest.approx(6 / 29, abs=1e-8)
 
 
+def test_bias_adjusted_exact_at_boundaries():
+    # E(naive | p) equals the naive estimate at p = 0 and p = 1 exactly
+    assert estimate_bias_adjusted(state(0, 10)).value == 0.0
+    assert estimate_bias_adjusted(state(29, 29)).value == 1.0
+
+
 def test_conditional_estimate_maximises_conditional_likelihood():
     def cond_loglik(p, s, design):
         cont = float(
@@ -226,6 +233,30 @@ def test_p_value_explicit_null_overrides_targets():
     assert p_value(state(6, 29), p0=0.2) == pytest.approx(
         q_oracle(6, 29, 0.2, DESIGN), abs=1e-12
     )
+
+
+def q_lower_exact(s, p, design):
+    """Outcome-inclusive lower tail of the stage-2 outcome (s, n), exactly."""
+    d, p = design, Fraction(p)
+    n2 = d.n - d.n1
+
+    def pmf(k, m):
+        return math.comb(m, k) * p**k * (1 - p) ** (m - k)
+
+    stops = sum(pmf(s1, d.n1) for s1 in range(d.a1 + 1))
+    paths = sum(
+        pmf(s1, d.n1) * pmf(s2, n2)
+        for s1 in range(d.a1 + 1, d.n1 + 1)
+        for s2 in range(n2 + 1)
+        if s1 + s2 <= s
+    )
+    return stops + paths
+
+
+@pytest.mark.parametrize("s, p", [(2, 0.9), (2, 0.99), (6, 0.95), (10, 0.9)])
+def test_q_lower_value_small_tails_match_exact_enumeration(s, p):
+    exact = q_lower_exact(s, p, DESIGN)
+    assert q_lower_value(s, 29, p, DESIGN) == pytest.approx(float(exact), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("design", DESIGNS, ids=lambda d: d.compact())
