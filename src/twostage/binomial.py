@@ -16,6 +16,28 @@ from typing import Callable
 _STD_NORMAL = NormalDist()
 
 
+def binom_pmf_row(m: int, p: float, start: int = 0, stop: int | None = None) -> list[float]:
+    """P(X = s) for X ~ Bin(m, p) and s in range(start, stop), with
+    0 <= start; stop defaults to m + 1.
+
+    binom_pmf caches single terms of it; the row itself is not cached.
+    The terminal-outcome kernel and the tails are mostly taken at bisection
+    points that never recur, so caching their terms one by one only filled
+    the scalar cache with entries that were never read again.
+    """
+    _check_trial(m, p)
+    stop = m + 1 if stop is None else stop
+    if p == 0.0 or p == 1.0:
+        mode = 0 if p == 0.0 else m
+        return [1.0 if s == mode else 0.0 for s in range(start, stop)]
+    log_m, log_p, log_q = math.lgamma(m + 1), math.log(p), math.log1p(-p)
+    lgamma, exp = math.lgamma, math.exp
+    return [
+        exp(log_m - lgamma(s + 1) - lgamma(m - s + 1) + s * log_p + (m - s) * log_q)
+        for s in range(start, stop)
+    ]
+
+
 @lru_cache(maxsize=1 << 20)
 def binom_pmf(s: int, m: int, p: float) -> float:
     """P(X = s) for X ~ Bin(m, p)."""
@@ -24,18 +46,7 @@ def binom_pmf(s: int, m: int, p: float) -> float:
         raise ValueError(f"number of successes {s} exceeds sample size {m}")
     if s < 0:
         return 0.0
-    if p == 0.0:
-        return 1.0 if s == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if s == m else 0.0
-    log_pmf = (
-        math.lgamma(m + 1)
-        - math.lgamma(s + 1)
-        - math.lgamma(m - s + 1)
-        + s * math.log(p)
-        + (m - s) * math.log1p(-p)
-    )
-    return math.exp(log_pmf)
+    return binom_pmf_row(m, p, s, s + 1)[0]
 
 
 @lru_cache(maxsize=1 << 20)
@@ -48,7 +59,7 @@ def binom_cdf(s: int, m: int, p: float) -> float:
         return 0.0
     if s == m:
         return 1.0
-    return min(1.0, math.fsum(binom_pmf(i, m, p) for i in range(s + 1)))
+    return min(1.0, math.fsum(binom_pmf_row(m, p, 0, s + 1)))
 
 
 @lru_cache(maxsize=1 << 20)
@@ -63,7 +74,7 @@ def binom_upper_tail(s: int, m: int, p: float) -> float:
         return 1.0
     if s > m:
         return 0.0
-    return min(1.0, math.fsum(binom_pmf(i, m, p) for i in range(s, m + 1)))
+    return min(1.0, math.fsum(binom_pmf_row(m, p, s)))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Iterator, Literal, Optional
 
 import numpy as np
 
-from .binomial import binom_cdf, binom_pmf
+from .binomial import binom_cdf, binom_pmf, binom_pmf_row
 
 
 class InfeasibleDesignError(ValueError):
@@ -175,8 +175,8 @@ def terminal_pmf(
     if nf <= d.n1:
         raise ValueError(f"final sample size {nf} must exceed n1={d.n1}")
     n2 = nf - d.n1
-    row1 = [binom_pmf(i, d.n1, p) for i in range(d.n1 + 1)]
-    row2 = [binom_pmf(j, n2, p) for j in range(n2 + 1)]
+    row1 = binom_pmf_row(d.n1, p)
+    row2 = binom_pmf_row(n2, p)
     cont = [0.0] * (nf + 1)
     for i in range(d.a1 + 1, d.n1 + 1):
         w = row1[i]

@@ -11,6 +11,7 @@ from scipy.stats import binom as scipy_binom
 from twostage.binomial import (
     binom_cdf,
     binom_pmf,
+    binom_pmf_row,
     binom_upper_tail,
     normal_quantile,
     solve_monotone_root,
@@ -39,6 +40,17 @@ def test_upper_tail_matches_scipy(s, m, p):
     assert binom_upper_tail(s, m, p) == pytest.approx(
         scipy_binom.sf(s - 1, m, p), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("m", [0, 1, 5, 29, 60])
+@pytest.mark.parametrize("p", [0.0, 1e-9, 0.1, 0.5, 0.9, 1 - 1e-9, 1.0])
+def test_pmf_row_equals_scalar_pmf(m, p):
+    # the uncached row feeds terminal_pmf and the tails, the cached scalar
+    # feeds the design search: both must give the same numbers, bit for bit
+    assert binom_pmf_row(m, p) == [binom_pmf(s, m, p) for s in range(m + 1)]
+    start, stop = m // 3, m - m // 4
+    assert binom_pmf_row(m, p, start, stop) == [binom_pmf(s, m, p) for s in range(start, stop)]
+    assert binom_pmf_row(m, p, start) == [binom_pmf(s, m, p) for s in range(start, m + 1)]
 
 
 def test_pmf_exact_fraction_oracle():
