@@ -22,8 +22,8 @@ def binom_pmf_row(m: int, p: float, start: int = 0, stop: int | None = None) -> 
 
     binom_pmf caches single terms of it; the row itself is not cached.
     The terminal-outcome kernel and the tails are mostly taken at bisection
-    points that never recur, so caching their terms one by one only filled
-    the scalar cache with entries that were never read again.
+    points that never recur; caching their terms one by one would fill the
+    scalar cache with entries that are never read again.
     """
     _check_trial(m, p)
     stop = m + 1 if stop is None else stop
