@@ -473,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="batch re-analysis of a trial-record file")
     p.add_argument("--input", required=True, help="delimited record file (csv or tsv)")
     p.add_argument("--out", help="directory for the report and figure datasets")
-    _add_format_flag(p)
     p.set_defaults(handler=_cmd_audit)
 
     return parser

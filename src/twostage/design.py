@@ -252,18 +252,14 @@ def operating_characteristics(
     )
 
 
-def _pmf_vector(m: int, p: float) -> np.ndarray:
-    return np.array([binom_pmf(i, m, p) for i in range(m + 1)])
-
-
-def _reject_matrix(n1: int, n: int, p: float) -> np.ndarray:
-    """R[a1, a] = P(continue past a1 and total successes > a), a = 0..n-1.
+def _reject_matrix(pmf1: np.ndarray, pmf2: np.ndarray) -> np.ndarray:
+    """R[a1, a] = P(continue past a1 and total successes > a), a = 0..n-1,
+    for the stage-1 and stage-2 pmf rows of a design with n = n1 + n2.
 
     Rows run a1 = 0..n1-1.
     """
-    n2 = n - n1
-    pmf1 = _pmf_vector(n1, p)
-    pmf2 = _pmf_vector(n2, p)
+    n1, n2 = len(pmf1) - 1, len(pmf2) - 1
+    n = n1 + n2
     # sf2[k] = P(X2 >= k) for k = 0..n2, with an appended 0 for k > n2
     sf2 = np.concatenate([np.cumsum(pmf2[::-1])[::-1], [0.0]])
     np.minimum(sf2, 1.0, out=sf2)
@@ -276,29 +272,56 @@ def _reject_matrix(n1: int, n: int, p: float) -> np.ndarray:
     return np.vstack([suffix[1:, :], np.zeros((1, n))])[:n1, :]
 
 
-def _feasible_designs_for_n(
-    n: int, targets: DesignTargets
-) -> list[tuple[int, int, int, float]]:
-    """Feasible (a1, a, n1, en_p0) tuples for fixed n, one per (n1, a1).
+def _frontier(
+    targets: DesignTargets, n_max: int
+) -> Iterator[tuple[float, int, TwoStageDesign]]:
+    """(en_p0, n, design) for the smallest-EN(p0) feasible design at each n
+    that has one, in increasing n; ties go to the smaller n1.
 
-    For each (n1, a1) only the smallest a controlling alpha is kept, as that
-    choice maximises power for the pair.
+    The null-optimal, minimax and admissible designs are all points of this
+    frontier. For each (n1, a1) only the smallest a controlling alpha is
+    kept, as that choice maximises power for the pair. Raises
+    InfeasibleDesignError, naming the binding constraint, if no n <= n_max
+    has a feasible design.
     """
-    out = []
-    for n1 in range(1, n):
-        r0 = _reject_matrix(n1, n, targets.p0)
-        r1 = _reject_matrix(n1, n, targets.p1)
-        cdf1 = np.cumsum(_pmf_vector(n1, targets.p0))
-        for a1 in range(n1):
-            row = r0[a1, a1:]
-            ok = np.nonzero(row <= targets.alpha)[0]
-            if ok.size == 0:
-                continue
-            a = a1 + int(ok[0])
-            en_p0 = n1 + (1.0 - float(cdf1[a1])) * (n - n1)
-            powered = r1[a1, a] >= 1.0 - targets.beta
-            out.append((a1, a, n1, en_p0, powered))
-    return out
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
+    p0, p1 = targets.p0, targets.p1
+    # rows[m] holds the Bin(m, p0) and Bin(m, p1) pmf rows; n = 1 only adds
+    # the m = 0 rows. Rows are added as n grows rather than built up to
+    # n_max, whose rows alone would take about 800 MB at n_max = 10000, so a
+    # search that stops early builds only the rows it reads.
+    rows: list[tuple[np.ndarray, np.ndarray]] = []
+    any_alpha_ok = found = False
+    for n in range(1, n_max + 1):
+        rows.append((np.array(binom_pmf_row(n - 1, p0)), np.array(binom_pmf_row(n - 1, p1))))
+        best = None
+        for n1 in range(1, n):
+            (pmf1_p0, pmf1_p1), (pmf2_p0, pmf2_p1) = rows[n1], rows[n - n1]
+            r0 = _reject_matrix(pmf1_p0, pmf2_p0)
+            r1 = _reject_matrix(pmf1_p1, pmf2_p1)
+            cdf1 = np.cumsum(pmf1_p0)
+            for a1 in range(n1):
+                ok = np.nonzero(r0[a1, a1:] <= targets.alpha)[0]
+                if ok.size == 0:
+                    continue
+                any_alpha_ok = True
+                a = a1 + int(ok[0])
+                if r1[a1, a] < 1.0 - targets.beta:
+                    continue
+                en_p0 = n1 + (1.0 - float(cdf1[a1])) * (n - n1)
+                if best is None or en_p0 < best[0]:
+                    best = (en_p0, a1, a, n1)
+        if best is not None:
+            found = True
+            en_p0, a1, a, n1 = best
+            yield en_p0, n, TwoStageDesign(a1=a1, a=a, n1=n1, n=n, targets=targets)
+    if not found:
+        constraint = "power" if any_alpha_ok else "type-I error"
+        raise InfeasibleDesignError(
+            f"no feasible design with n <= {n_max}; binding constraint: {constraint}",
+            binding_constraint=constraint,
+        )
 
 
 def search_designs(
@@ -317,34 +340,10 @@ def search_designs(
         crit = "null-optimal"
     if crit not in ("null-optimal", "minimax"):
         raise ValueError(f"unknown criterion {criterion!r}")
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
-
-    best = None
-    best_key = None
-    any_alpha_ok = False
-    for n in range(2, n_max + 1):
-        for a1, a, n1, en_p0, powered in _feasible_designs_for_n(n, targets):
-            any_alpha_ok = True
-            if not powered:
-                continue
-            if crit == "null-optimal":
-                key = (en_p0, n, n1)
-            else:
-                key = (n, en_p0, n1)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = TwoStageDesign(a1=a1, a=a, n1=n1, n=n, targets=targets)
-        if crit == "minimax" and best is not None:
-            # designs with larger n cannot improve the minimax objective
-            break
-    if best is None:
-        constraint = "power" if any_alpha_ok else "type-I error"
-        raise InfeasibleDesignError(
-            f"no feasible design with n <= {n_max}; binding constraint: {constraint}",
-            binding_constraint=constraint,
-        )
-    return best
+    frontier = _frontier(targets, n_max)
+    if crit == "minimax":
+        return next(frontier)[2]
+    return min(frontier, key=lambda t: t[:2])[2]
 
 
 @dataclass(frozen=True)
@@ -363,25 +362,9 @@ def admissible_set(targets: DesignTargets, n_max: int = 150) -> list[AdmissibleE
     design carries the weight interval on which it minimises the weighted
     objective w*n + (1-w)*EN(p0).
     """
-    # best (smallest-EN) feasible design per n, with null-optimal tie-breaks
-    per_n: dict[int, tuple[float, int, TwoStageDesign]] = {}
-    any_feasible = False
-    for n in range(2, n_max + 1):
-        for a1, a, n1, en_p0, powered in _feasible_designs_for_n(n, targets):
-            if not powered:
-                continue
-            any_feasible = True
-            key = (en_p0, n1)
-            if n not in per_n or key < (per_n[n][0], per_n[n][1]):
-                per_n[n] = (en_p0, n1, TwoStageDesign(a1=a1, a=a, n1=n1, n=n, targets=targets))
-    if not any_feasible:
-        raise InfeasibleDesignError(
-            f"no feasible design with n <= {n_max}; binding constraint: power",
-            binding_constraint="power",
-        )
     # each candidate is a line f(w) = w*n + (1-w)*EN; walk the lower
     # envelope from w = 0 (null-optimal) to w = 1 (minimax)
-    candidates = [(en, n, d) for n, (en, _n1, d) in sorted(per_n.items())]
+    candidates = list(_frontier(targets, n_max))
     entries: list[AdmissibleEntry] = []
     en_cur, n_cur, d_cur = min(candidates, key=lambda t: (t[0], t[1]))
     w_cur = 0.0

@@ -250,6 +250,12 @@ def estimate_conditional(state: AnalysisState) -> float:
     if s == n:
         # likelihood is increasing up to the boundary
         return 1.0
+    if s == d.a1 + 1:
+        # dividing p^s (1-p)^(n-s) by P(X1 > a1) gives
+        # L(p) = (1-p)^(n-n1) / sum_j C(n1, a1+1+j) (p/(1-p))^j, a falling
+        # numerator over a non-decreasing denominator: strictly decreasing
+        # on (0, 1), so the maximum is at p = 0
+        return 0.0
 
     def loglik(p: float) -> float:
         return s * math.log(p) + (n - s) * math.log1p(-p) - _log_continuation_prob(p, d)

@@ -79,6 +79,34 @@ def brute_force_both(p0, p1, alpha, beta, n_max):
     return best
 
 
+def brute_force_frontier(p0, p1, alpha, beta, n_max):
+    """The smallest EN(p0) over every feasible (a1, a, n1, n) at each n.
+
+    Returns {n: min EN(p0)} for each n <= n_max that has a feasible design,
+    enumerating as brute_force_both does.
+    """
+    frontier = {}
+    for n in range(2, n_max + 1):
+        for n1 in range(1, n):
+            pmf1_p0 = scipy_binom.pmf(np.arange(n1 + 1), n1, p0)
+            pmf1_p1 = scipy_binom.pmf(np.arange(n1 + 1), n1, p1)
+            pmf2_p0 = scipy_binom.pmf(np.arange(n - n1 + 1), n - n1, p0)
+            pmf2_p1 = scipy_binom.pmf(np.arange(n - n1 + 1), n - n1, p1)
+            for a1 in range(n1):
+                mask = np.arange(n1 + 1) > a1
+                sf0 = np.cumsum(np.convolve(pmf1_p0 * mask, pmf2_p0)[::-1])[::-1]
+                sf1 = np.cumsum(np.convolve(pmf1_p1 * mask, pmf2_p1)[::-1])[::-1]
+                ok = np.nonzero(sf0[1:] <= alpha)[0]
+                if len(ok) == 0:
+                    continue
+                a = max(a1, int(ok[0]))
+                if a >= n or sf1[a + 1] < 1.0 - beta:
+                    continue
+                en = en_oracle(a1, n1, n, p0)
+                frontier[n] = min(en, frontier.get(n, en))
+    return frontier
+
+
 def brute_force_search(p0, p1, alpha, beta, criterion, n_max):
     """Exhaustive enumeration over all (a1, a, n1, n) with n <= n_max.
 

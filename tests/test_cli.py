@@ -64,6 +64,16 @@ def test_design_infeasible_exit_code(capsys):
     assert err.count("\n") == 1
 
 
+def test_design_small_nmax_is_invalid_input_for_every_criterion(capsys):
+    for criterion in ("optimal", "minimax", "admissible"):
+        status, _, err = run(
+            capsys, "design", "--p0", "0.1", "--p1", "0.3", "--alpha", "0.05",
+            "--beta", "0.2", "--criterion", criterion, "--nmax", "1",
+        )
+        assert status == 2
+        assert err.startswith("INVALID_INPUT:")
+
+
 def test_oc_requires_targets(capsys):
     status, _, err = run(capsys, "oc", "--design", "1/10,5/29")
     assert status == 2
@@ -228,6 +238,12 @@ def test_audit_missing_file(capsys):
     status, _, err = run(capsys, "audit", "--input", "/nonexistent.csv")
     assert status == 2
     assert err.startswith("INVALID_INPUT:")
+
+
+def test_audit_has_no_format_flag(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["audit", "--input", GOLDEN, "--format", "csv"])
+    assert excinfo.value.code == 2
 
 
 def test_audit_byte_identical_json(capsys):

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_search, en_oracle, reject_prob_oracle, terminal_probs
+from oracles import (
+    brute_force_frontier,
+    brute_force_search,
+    en_oracle,
+    reject_prob_oracle,
+    terminal_probs,
+)
 from twostage.design import (
     DesignTargets,
     InfeasibleDesignError,
@@ -164,8 +170,12 @@ def test_infeasible_reports_binding_constraint():
         search_designs(TARGETS, "null-optimal", n_max=20)
     assert excinfo.value.binding_constraint == "power"
     tight = DesignTargets(p0=0.1, p1=0.11, alpha=1e-6, beta=0.2)
-    with pytest.raises(InfeasibleDesignError):
+    with pytest.raises(InfeasibleDesignError) as excinfo:
         search_designs(tight, "null-optimal", n_max=5)
+    assert excinfo.value.binding_constraint == "type-I error"
+    with pytest.raises(InfeasibleDesignError) as excinfo:
+        admissible_set(tight, n_max=5)
+    assert excinfo.value.binding_constraint == "type-I error"
 
 
 def test_unknown_criterion_rejected():
@@ -186,16 +196,20 @@ def test_admissible_set_structure():
         assert prev.w_high == pytest.approx(cur.w_low)
         assert prev.design.n > cur.design.n
     # every admissible design minimises the weighted objective at the
-    # midpoint of its interval
-    candidates = [e.design for e in entries]
+    # midpoint of its interval, over the whole brute-force frontier
+    frontier = brute_force_frontier(0.1, 0.3, 0.05, 0.2, n_max=40)
     for entry in entries:
         w = 0.5 * (entry.w_low + entry.w_high)
-        scores = {
-            d.compact(): w * d.n + (1 - w) * en_oracle(d.a1, d.n1, d.n, 0.1)
-            for d in candidates
-        }
-        best = min(scores.values())
-        assert scores[entry.design.compact()] == pytest.approx(best, abs=1e-9)
+        d = entry.design
+        score = w * d.n + (1 - w) * en_oracle(d.a1, d.n1, d.n, 0.1)
+        best = min(w * n + (1 - w) * en for n, en in frontier.items())
+        assert score == pytest.approx(best, abs=1e-9)
+
+
+def test_minimax_search_builds_only_the_rows_it_reads():
+    assert search_designs(TARGETS, "minimax", n_max=10_000) == search_designs(
+        TARGETS, "minimax", n_max=40
+    )
 
 
 def test_targets_validation():

@@ -175,6 +175,13 @@ def test_conditional_estimate_boundary():
     assert estimate_conditional(state(29, 29)) == 1.0
 
 
+@pytest.mark.parametrize("text", ["1/10, 5/29", "0/5, 3/20", "4/19, 14/54", "13/40, 40/110"])
+def test_conditional_estimate_exact_at_smallest_stage2_outcome(text):
+    # the conditional likelihood decreases on all of (0, 1) at s = a1 + 1
+    design = TwoStageDesign.from_compact(text)
+    assert estimate_conditional(state(design.a1 + 1, design.n, design)) == 0.0
+
+
 def test_median_unbiased():
     est = estimate_median_unbiased(state(6, 29))
     assert est.value == pytest.approx(0.2146808837132994, abs=1e-8)
