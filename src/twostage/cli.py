@@ -156,21 +156,17 @@ def _cmd_design(args) -> int:
     try:
         if criterion == "admissible":
             entries = admissible_set(targets, n_max=args.nmax)
-            payload = {
-                "criterion": "admissible",
-                "designs": [
+            designs, rows = [], []
+            for e in entries:
+                oc = operating_characteristics(e.design, targets)
+                designs.append(
                     {
                         "w_low": e.w_low,
                         "w_high": e.w_high,
                         "design": e.design.to_json_dict(),
-                        "oc": operating_characteristics(e.design, targets).to_json_dict(),
+                        "oc": oc.to_json_dict(),
                     }
-                    for e in entries
-                ],
-            }
-            rows = []
-            for e in entries:
-                oc = operating_characteristics(e.design, targets)
+                )
                 rows.append(
                     (
                         e.design.compact(),
@@ -179,6 +175,7 @@ def _cmd_design(args) -> int:
                         f"power={oc.power_attained:.4f}",
                     )
                 )
+            payload = {"criterion": "admissible", "designs": designs}
             _emit(payload, args.format, rows)
             return EXIT_OK
         design = search_designs(targets, criterion=criterion, n_max=args.nmax)

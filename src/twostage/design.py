@@ -12,10 +12,12 @@ import dataclasses
 import json
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Literal, Optional
-
-import numpy as np
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, mul
+from typing import Iterator, Literal, NamedTuple, Optional
 
 from .binomial import binom_cdf, binom_pmf, binom_pmf_row
 
@@ -252,72 +254,154 @@ def operating_characteristics(
     )
 
 
-def _reject_matrix(pmf1: np.ndarray, pmf2: np.ndarray) -> np.ndarray:
-    """R[a1, a] = P(continue past a1 and total successes > a), a = 0..n-1,
-    for the stage-1 and stage-2 pmf rows of a design with n = n1 + n2.
+class _Tables(NamedTuple):
+    """Tables of one Bin(m, p) pmf row, each summed sequentially."""
 
-    Rows run a1 = 0..n1-1.
+    pmf: list[float]
+    # sf[k] = P(X >= k), accumulated from the top and clipped at 1.0;
+    # sf[m + 1] = 0.0
+    sf: list[float]
+    # cdf[k] = P(X <= k), accumulated from the bottom
+    cdf: list[float]
+
+
+def _tables(m: int, p: float) -> _Tables:
+    pmf = binom_pmf_row(m, p)
+    sf = [min(s, 1.0) for s in accumulate(reversed(pmf))]
+    sf.reverse()
+    sf.append(0.0)
+    return _Tables(pmf, sf, list(accumulate(pmf)))
+
+
+def _head(pmf1: list[float], sf2: list[float]) -> list[float]:
+    """Running sums of the tail terms that read sf2[0], in summation order:
+    head[j] = pmf1[n1] * sf2[0] + ... + pmf1[n1 - j] * sf2[0]."""
+    return list(accumulate(map(mul, pmf1[:0:-1], repeat(sf2[0]))))
+
+
+def _tail(pmf1: list[float], sf2: list[float], head: list[float], a1: int, a: int) -> float:
+    """R(a1, a) = P(continue past a1 and total successes > a) for a >= a1,
+    from the stage-1 pmf row, the stage-2 sf table of one p and their head.
+
+    The sum runs over i = n1 down to a1 + 1 of pmf1[i] * sf2[k], with
+    k = a - i + 1 clipped to [0, n2 + 1], added one term at a time in that
+    order. The terms with k <= 0 come first, so head holds their sum; the
+    terms with k > n2 are exactly 0.0 and come last, so they are left out.
+    reduce adds plainly; sum() compensates float sums from Python 3.12 on.
     """
-    n1, n2 = len(pmf1) - 1, len(pmf2) - 1
-    n = n1 + n2
-    # sf2[k] = P(X2 >= k) for k = 0..n2, with an appended 0 for k > n2
-    sf2 = np.concatenate([np.cumsum(pmf2[::-1])[::-1], [0.0]])
-    np.minimum(sf2, 1.0, out=sf2)
-    i = np.arange(n1 + 1)[:, None]
-    a = np.arange(n)[None, :]
-    idx = np.clip(a - i + 1, 0, n2 + 1)
-    terms = pmf1[:, None] * sf2[idx]
-    # suffix[i, a] = sum_{j >= i} terms[j, a]; R[a1, a] = suffix[a1 + 1, a]
-    suffix = np.cumsum(terms[::-1, :], axis=0)[::-1, :]
-    return np.vstack([suffix[1:, :], np.zeros((1, n))])[:n1, :]
+    n1, n2 = len(pmf1) - 1, len(sf2) - 2
+    lo = max(a1 + 1, a + 1 - n2)
+    if a < n1:
+        return reduce(add, map(mul, pmf1[a : lo - 1 : -1], sf2[1 : a - lo + 2]), head[n1 - a - 1])
+    return reduce(add, map(mul, pmf1[n1 : lo - 1 : -1], sf2[a - n1 + 1 : a - lo + 2]), 0.0)
 
 
 def _frontier(
     targets: DesignTargets, n_max: int
 ) -> Iterator[tuple[float, int, TwoStageDesign]]:
-    """(en_p0, n, design) for the smallest-EN(p0) feasible design at each n
-    that has one, in increasing n; ties go to the smaller n1.
+    """(en_p0, n, design) for each n whose smallest-EN(p0) feasible design
+    has an EN(p0) no larger than that of every smaller n, in increasing n;
+    at each n ties go to the smaller n1, then the smaller a1.
 
-    The null-optimal, minimax and admissible designs are all points of this
-    frontier. For each (n1, a1) only the smallest a controlling alpha is
-    kept, as that choice maximises power for the pair. Raises
-    InfeasibleDesignError, naming the binding constraint, if no n <= n_max
-    has a feasible design.
+    For each (n1, a1) only the smallest a controlling alpha is kept, as
+    that choice maximises power for the pair. The first n yielded is the
+    minimax n, the minimum over (en_p0, n) is the null-optimal design, and
+    every n left out is strictly dominated by a smaller n with a smaller
+    EN, so it lies off the admissible hull. Raises InfeasibleDesignError,
+    naming the binding constraint, if no n <= n_max has a feasible design.
+
+    Every float that decides feasibility or EN is summed in the same order
+    as an n1 x n matrix of cumulative sums would be, and each prune below
+    skips only candidates that those floats rule out.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
-    p0, p1 = targets.p0, targets.p1
-    # rows[m] holds the Bin(m, p0) and Bin(m, p1) pmf rows; n = 1 only adds
-    # the m = 0 rows. Rows are added as n grows rather than built up to
-    # n_max, whose rows alone would take about 800 MB at n_max = 10000, so a
-    # search that stops early builds only the rows it reads.
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
-    any_alpha_ok = found = False
+    p0, p1, alpha = targets.p0, targets.p1, targets.alpha
+    power = 1.0 - targets.beta
+    # rows[m] holds the Bin(m, p0) and Bin(m, p1) tables, built when first
+    # read and dropped once no later n can read them
+    rows: dict[int, tuple[_Tables, _Tables]] = {}
+
+    def row(m: int) -> tuple[_Tables, _Tables]:
+        if m not in rows:
+            rows[m] = (_tables(m, p0), _tables(m, p1))
+        return rows[m]
+
+    bound = math.inf  # the smallest EN(p0) at any smaller n
     for n in range(1, n_max + 1):
-        rows.append((np.array(binom_pmf_row(n - 1, p0)), np.array(binom_pmf_row(n - 1, p1))))
-        best = None
+        best = None  # (en_p0, a1, a, n1)
         for n1 in range(1, n):
-            (pmf1_p0, pmf1_p1), (pmf2_p0, pmf2_p1) = rows[n1], rows[n - n1]
-            r0 = _reject_matrix(pmf1_p0, pmf2_p0)
-            r1 = _reject_matrix(pmf1_p1, pmf2_p1)
-            cdf1 = np.cumsum(pmf1_p0)
+            # EN >= n1 up to cdf rounding above 1.0, a few ulps times n2,
+            # so no larger n1 can reach the smallest EN so far
+            if n1 > min(bound, best[0] if best else bound) + 1:
+                break
+            n2 = n - n1
+            first0, first1 = row(n1)
+            a_hi = a_lo = head0 = head1 = None
             for a1 in range(n1):
-                ok = np.nonzero(r0[a1, a1:] <= targets.alpha)[0]
-                if ok.size == 0:
+                # the power tail is at most the stage-1 suffix sf1[a1 + 1]
+                # term by term (sf2 <= 1), and that suffix does not grow
+                # with a1
+                if first1.sf[a1 + 1] < power:
+                    break
+                en_p0 = n1 + (1.0 - first0.cdf[a1]) * n2
+                # EN does not depend on a; a tie at this n goes to the
+                # candidate found first
+                if en_p0 > bound or (best is not None and en_p0 >= best[0]):
                     continue
-                any_alpha_ok = True
-                a = a1 + int(ok[0])
-                if r1[a1, a] < 1.0 - targets.beta:
+                if a_hi is None:
+                    second0, second1 = row(n2)
+                    # R0(a1, n - 1) has the one nonzero term
+                    # pmf1[n1] * sf2[n2], whatever a1 is
+                    if first0.pmf[n1] * second0.sf[n2] > alpha:
+                        break
+                    head0 = _head(first0.pmf, second0.sf)
+                    head1 = _head(first1.pmf, second1.sf)
+                    # R0(a1, a) >= head0[n1 - a - 1], its first terms
+                    a_lo = n1 - bisect_right(head0, alpha)
+                    lo, hi = max(a1, a_lo), n - 1
+                else:
+                    # R0 does not grow with a1 either, so the a found for a
+                    # smaller a1 still controls alpha; the next a is
+                    # usually the same or one less, so step down from it
+                    # by steps that double before bisecting
+                    lo, hi, step = max(a1, a_lo), max(a1, a_hi), 1
+                    while lo < hi:
+                        mid = max(lo, hi - step)
+                        if _tail(first0.pmf, second0.sf, head0, a1, mid) > alpha:
+                            lo = mid + 1
+                            break
+                        hi, step = mid, 2 * step
+                # R0 does not grow with a: bisect for the smallest a with
+                # R0 <= alpha
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if _tail(first0.pmf, second0.sf, head0, a1, mid) <= alpha:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                a_hi = lo
+                if _tail(first1.pmf, second1.sf, head1, a1, lo) < power:
                     continue
-                en_p0 = n1 + (1.0 - float(cdf1[a1])) * (n - n1)
-                if best is None or en_p0 < best[0]:
-                    best = (en_p0, a1, a, n1)
+                best = (en_p0, a1, lo, n1)
         if best is not None:
-            found = True
             en_p0, a1, a, n1 = best
             yield en_p0, n, TwoStageDesign(a1=a1, a=a, n1=n1, n=n, targets=targets)
-    if not found:
-        constraint = "power" if any_alpha_ok else "type-I error"
+            bound = en_p0
+        if bound < math.inf:
+            # later n read stage-1 rows m <= k and stage-2 rows m > n - k
+            k = int(bound) + 1
+            for m in [m for m in rows if k < m <= n - k]:
+                del rows[m]
+    if bound == math.inf:
+        # R0 is smallest at a1 = n1 - 1, a = n - 1, where it is the one
+        # term pmf1[n1] * sf2[n2]
+        alpha_ok = any(
+            row(n1)[0].pmf[n1] * row(n - n1)[0].sf[n - n1] <= alpha
+            for n in range(2, n_max + 1)
+            for n1 in range(1, n)
+        )
+        constraint = "power" if alpha_ok else "type-I error"
         raise InfeasibleDesignError(
             f"no feasible design with n <= {n_max}; binding constraint: {constraint}",
             binding_constraint=constraint,

@@ -42,6 +42,28 @@ def en_oracle(a1, n1, n, p):
     return n1 + (1.0 - pet) * (n - n1)
 
 
+def reject_matrix_oracle(pmf1, pmf2):
+    """R[a1, a] = P(continue past a1 and total successes > a), a = 0..n-1,
+    for the stage-1 and stage-2 pmf rows of a design with n = n1 + n2.
+
+    Rows run a1 = 0..n1-1. Built from numpy cumulative sums, which add one
+    term at a time, so the design search's own sums must equal it exactly.
+    """
+    pmf1, pmf2 = np.asarray(pmf1), np.asarray(pmf2)
+    n1, n2 = len(pmf1) - 1, len(pmf2) - 1
+    n = n1 + n2
+    # sf2[k] = P(X2 >= k) for k = 0..n2, with an appended 0 for k > n2
+    sf2 = np.concatenate([np.cumsum(pmf2[::-1])[::-1], [0.0]])
+    np.minimum(sf2, 1.0, out=sf2)
+    i = np.arange(n1 + 1)[:, None]
+    a = np.arange(n)[None, :]
+    idx = np.clip(a - i + 1, 0, n2 + 1)
+    terms = pmf1[:, None] * sf2[idx]
+    # suffix[i, a] = sum_{j >= i} terms[j, a]; R[a1, a] = suffix[a1 + 1, a]
+    suffix = np.cumsum(terms[::-1, :], axis=0)[::-1, :]
+    return np.vstack([suffix[1:, :], np.zeros((1, n))])[:n1, :]
+
+
 def brute_force_both(p0, p1, alpha, beta, n_max):
     """One exhaustive pass returning the best design per criterion.
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -278,3 +280,13 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "field,value"
     assert any(line.startswith("low,") for line in lines)
+
+
+def test_cli_import_does_not_load_numpy():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, twostage.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -2,21 +2,29 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    brute_force_both,
     brute_force_frontier,
     brute_force_search,
     en_oracle,
+    reject_matrix_oracle,
     reject_prob_oracle,
     terminal_probs,
 )
+from twostage.binomial import binom_pmf_row
 from twostage.design import (
     DesignTargets,
     InfeasibleDesignError,
     TwoStageDesign,
+    _frontier,
+    _head,
+    _tables,
+    _tail,
     admissible_set,
     continuation_tail,
     expected_sample_size,
@@ -204,6 +212,61 @@ def test_admissible_set_structure():
         score = w * d.n + (1 - w) * en_oracle(d.a1, d.n1, d.n, 0.1)
         best = min(w * n + (1 - w) * en for n, en in frontier.items())
         assert score == pytest.approx(best, abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-4, 0.05, 0.3, 0.5, 0.95, 1.0])
+def test_search_sums_equal_the_reject_matrix_bit_for_bit(p):
+    for n1 in (1, 2, 5, 13, 30):
+        first = _tables(n1, p)
+        assert first.cdf == np.cumsum(first.pmf).tolist()
+        for n2 in (1, 4, 17, 40):
+            second = _tables(n2, p)
+            head = _head(first.pmf, second.sf)
+            matrix = reject_matrix_oracle(first.pmf, binom_pmf_row(n2, p))
+            for a1 in range(n1):
+                tails = [_tail(first.pmf, second.sf, head, a1, a) for a in range(a1, n1 + n2)]
+                assert tails == matrix[a1, a1:].tolist()
+                # the search reads R(a1, n - 1) directly, and breaks on the
+                # power bound sf1[a1 + 1] (clipped at 1.0 like 1 - beta)
+                assert first.pmf[n1] * second.sf[n2] == matrix[a1, -1]
+                assert min(max(matrix[a1]), 1.0) <= first.sf[a1 + 1]
+
+
+@pytest.mark.parametrize("p0,p1", [(0.05, 0.25), (0.1, 0.3), (0.2, 0.4)])
+def test_frontier_is_the_brute_force_staircase(p0, p1):
+    targets = DesignTargets(p0=p0, p1=p1, alpha=0.05, beta=0.2)
+    yielded = {n: en for en, n, _ in _frontier(targets, 40)}
+    brute = brute_force_frontier(p0, p1, 0.05, 0.2, n_max=40)
+    assert min(yielded) == min(brute)
+    for n, en in yielded.items():
+        assert en == pytest.approx(brute[n], abs=1e-12)
+    for n, en in brute.items():
+        smaller = [brute[m] for m in brute if m < n]
+        if n in yielded:
+            assert not smaller or en <= min(smaller) + 1e-12
+        else:
+            # a skipped n is strictly dominated by a smaller one
+            assert en > min(smaller)
+
+
+def test_tie_breaks_when_en_equals_n1():
+    # with p0 = 0 the trial never continues under the null, so EN(p0) = n1
+    # for every a1 and n, and the smallest n1 with power (8) ties across n
+    targets = DesignTargets(p0=0.0, p1=0.2, alpha=0.05, beta=0.2)
+    # an n whose EN ties the best EN at a smaller n stays on the frontier
+    assert [(en, n, d.compact()) for en, n, d in _frontier(targets, 12)] == [
+        (8.0, n, f"0/8, 0/{n}") for n in range(9, 13)
+    ]
+    for criterion in ("null-optimal", "minimax"):
+        assert search_designs(targets, criterion, n_max=12).compact() == "0/8, 0/9"
+    assert brute_force_both(0.0, 0.2, 0.05, 0.2, n_max=12) == {
+        "null-optimal": (0, 0, 8, 9),
+        "minimax": (0, 0, 8, 9),
+    }
+    entries = admissible_set(targets, n_max=12)
+    assert [(e.w_low, e.w_high, e.design.compact()) for e in entries] == [
+        (0.0, 1.0, "0/8, 0/9")
+    ]
 
 
 def test_minimax_search_builds_only_the_rows_it_reads():
