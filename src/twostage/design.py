@@ -12,7 +12,6 @@ import dataclasses
 import json
 import math
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
@@ -261,16 +260,17 @@ class _Tables(NamedTuple):
     # sf[k] = P(X >= k), accumulated from the top and clipped at 1.0;
     # sf[m + 1] = 0.0
     sf: list[float]
-    # cdf[k] = P(X <= k), accumulated from the bottom
-    cdf: list[float]
+    # cdf[k] = P(X <= k), accumulated from the bottom; only EN(p0) reads
+    # it, so it is None for the p1 row
+    cdf: Optional[list[float]]
 
 
-def _tables(m: int, p: float) -> _Tables:
+def _tables(m: int, p: float, cdf: bool) -> _Tables:
     pmf = binom_pmf_row(m, p)
     sf = [min(s, 1.0) for s in accumulate(reversed(pmf))]
     sf.reverse()
     sf.append(0.0)
-    return _Tables(pmf, sf, list(accumulate(pmf)))
+    return _Tables(pmf, sf, list(accumulate(pmf)) if cdf else None)
 
 
 def _head(pmf1: list[float], sf2: list[float]) -> list[float]:
@@ -324,7 +324,7 @@ def _frontier(
 
     def row(m: int) -> tuple[_Tables, _Tables]:
         if m not in rows:
-            rows[m] = (_tables(m, p0), _tables(m, p1))
+            rows[m] = (_tables(m, p0, cdf=True), _tables(m, p1, cdf=False))
         return rows[m]
 
     bound = math.inf  # the smallest EN(p0) at any smaller n
@@ -337,7 +337,7 @@ def _frontier(
                 break
             n2 = n - n1
             first0, first1 = row(n1)
-            a_hi = a_lo = head0 = head1 = None
+            a_hi = head0 = head1 = None
             for a1 in range(n1):
                 # the power tail is at most the stage-1 suffix sf1[a1 + 1]
                 # term by term (sf2 <= 1), and that suffix does not grow
@@ -357,21 +357,15 @@ def _frontier(
                         break
                     head0 = _head(first0.pmf, second0.sf)
                     head1 = _head(first1.pmf, second1.sf)
-                    # R0(a1, a) >= head0[n1 - a - 1], its first terms
-                    a_lo = n1 - bisect_right(head0, alpha)
-                    lo, hi = max(a1, a_lo), n - 1
+                    lo, hi = a1, n - 1
                 else:
                     # R0 does not grow with a1 either, so the a found for a
-                    # smaller a1 still controls alpha; the next a is
-                    # usually the same or one less, so step down from it
-                    # by steps that double before bisecting
-                    lo, hi, step = max(a1, a_lo), max(a1, a_hi), 1
-                    while lo < hi:
-                        mid = max(lo, hi - step)
-                        if _tail(first0.pmf, second0.sf, head0, a1, mid) > alpha:
-                            lo = mid + 1
-                            break
-                        hi, step = mid, 2 * step
+                    # smaller a1 still controls alpha, and it is nearly
+                    # always the smallest such a here too: test the a just
+                    # below it before bisecting
+                    lo, hi = a1, max(a1, a_hi)
+                    if lo < hi and _tail(first0.pmf, second0.sf, head0, a1, hi - 1) > alpha:
+                        lo = hi
                 # R0 does not grow with a: bisect for the smallest a with
                 # R0 <= alpha
                 while lo < hi:
@@ -395,9 +389,10 @@ def _frontier(
                 del rows[m]
     if bound == math.inf:
         # R0 is smallest at a1 = n1 - 1, a = n - 1, where it is the one
-        # term pmf1[n1] * sf2[n2]
+        # term pmf1[n1] * sf2[n2], and sf2[n2] is pmf2[n2] clipped at 1.0
+        last = [binom_pmf_row(m, p0, m)[0] for m in range(n_max)]
         alpha_ok = any(
-            row(n1)[0].pmf[n1] * row(n - n1)[0].sf[n - n1] <= alpha
+            last[n1] * min(last[n - n1], 1.0) <= alpha
             for n in range(2, n_max + 1)
             for n1 in range(1, n)
         )

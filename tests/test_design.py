@@ -217,10 +217,10 @@ def test_admissible_set_structure():
 @pytest.mark.parametrize("p", [0.0, 1e-4, 0.05, 0.3, 0.5, 0.95, 1.0])
 def test_search_sums_equal_the_reject_matrix_bit_for_bit(p):
     for n1 in (1, 2, 5, 13, 30):
-        first = _tables(n1, p)
+        first = _tables(n1, p, cdf=True)
         assert first.cdf == np.cumsum(first.pmf).tolist()
         for n2 in (1, 4, 17, 40):
-            second = _tables(n2, p)
+            second = _tables(n2, p, cdf=False)
             head = _head(first.pmf, second.sf)
             matrix = reject_matrix_oracle(first.pmf, binom_pmf_row(n2, p))
             for a1 in range(n1):
@@ -232,10 +232,16 @@ def test_search_sums_equal_the_reject_matrix_bit_for_bit(p):
                 assert min(max(matrix[a1]), 1.0) <= first.sf[a1 + 1]
 
 
-@pytest.mark.parametrize("p0,p1", [(0.05, 0.25), (0.1, 0.3), (0.2, 0.4)])
+@pytest.mark.parametrize("p0,p1", [(0.05, 0.25), (0.1, 0.3), (0.2, 0.4), (0.25, 0.5)])
 def test_frontier_is_the_brute_force_staircase(p0, p1):
     targets = DesignTargets(p0=p0, p1=p1, alpha=0.05, beta=0.2)
-    yielded = {n: en for en, n, _ in _frontier(targets, 40)}
+    frontier = list(_frontier(targets, 40))
+    for _, n, d in frontier:
+        # a is the smallest a >= a1 that controls alpha for (n1, a1)
+        matrix = reject_matrix_oracle(binom_pmf_row(d.n1, p0), binom_pmf_row(n - d.n1, p0))
+        assert matrix[d.a1, d.a] <= 0.05
+        assert d.a == d.a1 or matrix[d.a1, d.a - 1] > 0.05
+    yielded = {n: en for en, n, _ in frontier}
     brute = brute_force_frontier(p0, p1, 0.05, 0.2, n_max=40)
     assert min(yielded) == min(brute)
     for n, en in yielded.items():
