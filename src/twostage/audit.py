@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 from typing import Iterable, Optional, TextIO, Union
 
+from .binomial import MAX_SAMPLE_SIZE
 from .design import DesignTargets, TerminalOutcome, TwoStageDesign
 from .deviation import reject_prob_ek, reject_prob_retained
 from .inference import (
@@ -144,8 +145,9 @@ def parse_records(
     """Read trial records from delimited text (comma default, tab accepted).
 
     Proportion columns given on a 0-100 scale are divided by 100 and
-    flagged. Malformed cells produce a row-level error and parsing
-    continues; unknown columns produce a warning.
+    flagged. Malformed cells, and an n or n_analysis above
+    MAX_SAMPLE_SIZE, produce a row-level error and parsing continues;
+    unknown columns produce a warning.
     """
     if isinstance(source, str):
         stream: TextIO = io.StringIO(source)
@@ -207,6 +209,10 @@ def parse_records(
                         record.ci_decimals = decimals
             except (TypeError, ValueError) as exc:
                 problems.append(f"column {column!r}: {exc}")
+        for column in ("n", "n_analysis"):
+            size = getattr(record, column)
+            if size is not None and size > MAX_SAMPLE_SIZE:
+                problems.append(f"column {column!r}: {size} exceeds the cap of {MAX_SAMPLE_SIZE}")
         if problems:
             errors.append(RowError(row=row_no, record_id=record.id, message="; ".join(problems)))
             continue

@@ -1,8 +1,8 @@
 """Exact binomial kernel: pmf/cdf, monotone root finding, normal quantile.
 
 All probabilities are computed in log-space with compensated summation so
-that double precision suffices for the sample sizes seen in practice
-(n of a few hundred at most).
+that double precision suffices for every sample size the package analyses:
+up to MAX_SAMPLE_SIZE, far above any phase II trial.
 """
 
 from __future__ import annotations
@@ -14,6 +14,12 @@ from statistics import NormalDist
 from typing import Callable
 
 _STD_NORMAL = NormalDist()
+
+# Largest final (analysed) sample size the terminal-outcome kernel, the
+# deviation analyses and the audit accept. It bounds the work and memory of
+# one analysis: the kernel's exact path counts at this size take up to
+# about 1.5 s to build and 160 KB to keep (see design._log_counts).
+MAX_SAMPLE_SIZE = 5000
 
 
 def binom_pmf_row(m: int, p: float, start: int = 0, stop: int | None = None) -> list[float]:

@@ -13,12 +13,12 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Iterator, Literal, NamedTuple, Optional
 
-from .binomial import binom_cdf, binom_pmf, binom_pmf_row
+from .binomial import MAX_SAMPLE_SIZE, binom_cdf, binom_pmf, binom_pmf_row
 
 
 class InfeasibleDesignError(ValueError):
@@ -170,20 +170,51 @@ def terminal_pmf(
     ``cont[s]`` is P(continue and end with s total successes) for
     s = 0..n_final, zero for s <= a1. Rejection probabilities, q-values,
     interval tails, bias and coverage are all sums over these two rows.
+
+    Every path that continues and ends with s successes has probability
+    p^s (1 - p)^(n_final - s), so cont[s] = c_s p^s (1 - p)^(n_final - s)
+    with the path count c_s of _log_counts, which does not depend on p.
+    Raises ValueError for n_final above MAX_SAMPLE_SIZE.
     """
     d = design.require_valid()
     nf = d.n if n_final is None else n_final
     if nf <= d.n1:
         raise ValueError(f"final sample size {nf} must exceed n1={d.n1}")
-    n2 = nf - d.n1
-    row1 = binom_pmf_row(d.n1, p)
-    row2 = binom_pmf_row(n2, p)
+    if nf > MAX_SAMPLE_SIZE:
+        raise ValueError(f"final sample size {nf} exceeds the cap of {MAX_SAMPLE_SIZE}")
+    stop = binom_pmf_row(d.n1, p, 0, d.a1 + 1)
     cont = [0.0] * (nf + 1)
-    for i in range(d.a1 + 1, d.n1 + 1):
-        w = row1[i]
-        for s, q in enumerate(row2, start=i):
-            cont[s] += w * q
-    return row1[: d.a1 + 1], cont
+    if p == 1.0:
+        cont[nf] = 1.0
+    elif p > 0.0:
+        log_p, log_q, exp = math.log(p), math.log1p(-p), math.exp
+        cont[d.a1 + 1 :] = [
+            exp(log_c + s * log_p + (nf - s) * log_q)
+            for s, log_c in enumerate(_log_counts(d.a1, d.n1, nf), start=d.a1 + 1)
+        ]
+    return stop, cont
+
+
+@lru_cache(maxsize=256)
+def _log_counts(a1: int, n1: int, n_final: int) -> tuple[float, ...]:
+    """log c_s for s = a1 + 1..n_final, where c_s is the number of ways to
+    continue past a1 and end with s total successes:
+    c_s = sum over i > a1 of C(n1, i) C(n_final - n1, s - i), which is
+    positive for exactly these s.
+
+    The counts are exact integers, the coefficients of
+    (sum over i > a1 of C(n1, i) x^i) (1 + x)^(n_final - n1), built by
+    Pascal's rule; math.log takes an int of any size, so counts beyond the
+    float range (C(2000, 1000) is about 1e600) never overflow. The row is
+    keyed by design, not by p, so every p of a root solve reads one row.
+    At most 256 rows of at most MAX_SAMPLE_SIZE floats are kept, about
+    32 bytes each (tuple slot and float): under 3.5 MB for rows of a few
+    hundred, 41 MB for rows at the cap.
+    """
+    row = [math.comb(n1, i) for i in range(a1 + 1, n1 + 1)]
+    for _ in range(n_final - n1):
+        row = list(map(add, row + [0], [0] + row))
+    return tuple(map(math.log, row))
 
 
 def continuation_tail(cont: list[float], s: int) -> float:

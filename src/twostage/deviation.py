@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .binomial import binom_pmf, binom_upper_tail
+from .binomial import MAX_SAMPLE_SIZE, binom_pmf, binom_upper_tail
 from .design import TwoStageDesign, continuation_tail, terminal_pmf
 
 
@@ -34,11 +34,7 @@ class DeviatedAnalysis:
                 "deviation in the interim timing is not supported: the interim "
                 f"analysis must use the planned n1={d.n1}, got {self.n1_realized}"
             )
-        if self.n_an <= d.n1:
-            raise ValueError(
-                f"final analysis at n_an={self.n_an} <= n1={d.n1} leaves no "
-                "second-stage data; report a stage-1 analysis instead"
-            )
+        _check_n_an(d, self.n_an)
         if not d.a1 < self.s1 <= d.n1:
             raise ValueError(
                 f"continuation requires a1 < s1 <= n1, got s1={self.s1}"
@@ -47,6 +43,17 @@ class DeviatedAnalysis:
             raise ValueError(
                 f"total successes must satisfy s1 <= s_an <= n_an, got s_an={self.s_an}"
             )
+
+
+def _check_n_an(design: TwoStageDesign, n_an: int) -> None:
+    """Reject a final sample size with no second stage or above the cap."""
+    if n_an <= design.n1:
+        raise ValueError(
+            f"final analysis at n_an={n_an} <= n1={design.n1} leaves no "
+            "second-stage data; report a stage-1 analysis instead"
+        )
+    if n_an > MAX_SAMPLE_SIZE:
+        raise ValueError(f"final sample size n_an={n_an} exceeds the cap of {MAX_SAMPLE_SIZE}")
 
 
 def _p0_of(design: TwoStageDesign) -> float:
@@ -90,8 +97,7 @@ def ek_reject(analysis: DeviatedAnalysis) -> bool:
 def reject_prob_retained(p: float, design: TwoStageDesign, n_an: int) -> float:
     """Rejection probability when the planned bound a is kept at n_an."""
     d = design.require_valid()
-    if n_an <= d.n1:
-        raise ValueError(f"n_an={n_an} must exceed n1={d.n1}")
+    _check_n_an(d, n_an)
     _, cont = terminal_pmf(d, p, n_an)
     return continuation_tail(cont, d.a + 1)
 
@@ -100,8 +106,7 @@ def reject_prob_ek(p: float, design: TwoStageDesign, n_an: int) -> float:
     """Rejection probability of the conditional-error test at n_an."""
     d = design.require_valid()
     p0 = _p0_of(d)
-    if n_an <= d.n1:
-        raise ValueError(f"n_an={n_an} must exceed n1={d.n1}")
+    _check_n_an(d, n_an)
     n2 = n_an - d.n1
     terms = []
     for s1 in range(d.n1 + 1):
@@ -143,25 +148,25 @@ def interpretation_probabilities(
     d = design.require_valid()
     if n_an is None:
         n_an = d.n
-    if n_an <= d.n1:
-        raise ValueError(f"n_an={n_an} must exceed n1={d.n1}")
+    _check_n_an(d, n_an)
     if p0 is None or p1 is None:
         if d.targets is None:
             raise ValueError("p0 and p1 are required (no design targets present)")
         p0 = d.targets.p0 if p0 is None else p0
         p1 = d.targets.p1 if p1 is None else p1
 
-    def prob(indicator, p: float) -> float:
-        stop, cont = terminal_pmf(d, p, n_an)
+    def prob(indicator, rows: tuple[list[float], list[float]]) -> float:
+        stop, cont = rows
         terms = [stop[s] for s in range(d.a1 + 1) if indicator(s / d.n1)]
         terms += [cont[s] for s in range(d.a1 + 1, n_an + 1) if indicator(s / n_an)]
         return min(1.0, math.fsum(terms))
 
     above_p0 = lambda est: est > p0
     at_least_p1 = lambda est: est >= p1
+    at_p0, at_p1 = terminal_pmf(d, p0, n_an), terminal_pmf(d, p1, n_an)
     return InterpretationProbabilities(
-        naive_above_p0_at_p0=prob(above_p0, p0),
-        naive_above_p0_at_p1=prob(above_p0, p1),
-        naive_at_least_p1_at_p0=prob(at_least_p1, p0),
-        naive_at_least_p1_at_p1=prob(at_least_p1, p1),
+        naive_above_p0_at_p0=prob(above_p0, at_p0),
+        naive_above_p0_at_p1=prob(above_p0, at_p1),
+        naive_at_least_p1_at_p0=prob(at_least_p1, at_p0),
+        naive_at_least_p1_at_p1=prob(at_least_p1, at_p1),
     )

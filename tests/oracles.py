@@ -1,8 +1,11 @@
 """Independent reference implementations used only to check the package.
 
-Everything here is written against scipy/numpy from the defining formulas,
-deliberately avoiding the package's own computational paths.
+Everything here is written against scipy/numpy or exact integer arithmetic
+from the defining formulas, deliberately avoiding the package's own
+computational paths.
 """
+
+import math
 
 import numpy as np
 from scipy.stats import binom as scipy_binom
@@ -29,6 +32,26 @@ def terminal_probs(a1, n1, n, p):
     for _, s, m, pr in stage_paths(a1, n1, n, p):
         probs[(s, m)] = probs.get((s, m), 0.0) + pr
     return probs
+
+
+def exact_terminal_rows(a1, n1, n, p):
+    """The stop and continuation rows of terminal_pmf, exact then rounded once.
+
+    A float p is a dyadic rational num/den, so every path of the trial has
+    the exact probability num^s (den - num)^(m - s) / den^m for s successes
+    in m patients. The continuation row counts its paths one (i, j) pair of
+    stage-1 and stage-2 successes at a time; the only rounding is the final
+    int / int division, which Python rounds correctly.
+    """
+    num, den = p.as_integer_ratio()
+    q, n2 = den - num, n - n1
+    paths = [0] * (n + 1)
+    for i in range(a1 + 1, n1 + 1):
+        for j in range(n2 + 1):
+            paths[i + j] += math.comb(n1, i) * math.comb(n2, j)
+    stop = [math.comb(n1, s) * num**s * q ** (n1 - s) / den**n1 for s in range(a1 + 1)]
+    cont = [c * num**s * q ** (n - s) / den**n for s, c in enumerate(paths)]
+    return stop, cont
 
 
 def reject_prob_oracle(a1, a, n1, n, p):

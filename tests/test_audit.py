@@ -63,6 +63,15 @@ def test_parse_collects_row_errors_and_continues():
     assert "p0" in error.message
 
 
+@pytest.mark.parametrize("column", ["n", "n_analysis"])
+def test_parse_rejects_sample_size_above_the_cap(column):
+    parsed = parse_records(f"id,a1,n1,{column}\nHUGE,1,10,{10**6}\nOK,1,10,29\n")
+    assert [r.id for r in parsed.records] == ["OK"]
+    (error,) = parsed.errors
+    assert error.record_id == "HUGE"
+    assert column in error.message and "cap" in error.message
+
+
 def test_parse_warns_on_unknown_columns():
     parsed = parse_records("id,flavour\nT,vanilla\n")
     assert parsed.warnings and "flavour" in parsed.warnings[0]

@@ -154,6 +154,23 @@ def test_pvalue(capsys):
     assert json.loads(out)["p_value"] == pytest.approx(0.04708630664, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--design", "1/10,5/29", "--s", "6", "--m", str(10**6)],
+        ["oc", "--design", f"1/10,5/{10**6}", "--p0", "0.1", "--p1", "0.3",
+         "--alpha", "0.05", "--beta", "0.2"],
+        ["deviate", "--design", "1/10,5/29", "--p0", "0.1", "--p1", "0.3",
+         "--alpha", "0.05", "--beta", "0.2", "--n-an", str(10**6), "--s1", "3", "--s", "6"],
+    ],
+    ids=["estimate", "oc", "deviate"],
+)
+def test_sample_size_above_the_cap_is_invalid_input(capsys, argv):
+    status, _, err = run(capsys, *argv)
+    assert status == 2
+    assert err.startswith("INVALID_INPUT:") and "cap" in err
+
+
 def test_pvalue_requires_null_or_targets(capsys):
     status, _, err = run(
         capsys, "pvalue", "--design", "1/10,5/29", "--s", "6", "--m", "29"

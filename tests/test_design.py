@@ -1,6 +1,8 @@
 """Design representation, operating characteristics, and optimal search."""
 
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,17 +14,19 @@ from oracles import (
     brute_force_frontier,
     brute_force_search,
     en_oracle,
+    exact_terminal_rows,
     reject_matrix_oracle,
     reject_prob_oracle,
     terminal_probs,
 )
-from twostage.binomial import binom_pmf_row
+from twostage.binomial import MAX_SAMPLE_SIZE, binom_pmf_row
 from twostage.design import (
     DesignTargets,
     InfeasibleDesignError,
     TwoStageDesign,
     _frontier,
     _head,
+    _log_counts,
     _tables,
     _tail,
     admissible_set,
@@ -98,6 +102,54 @@ def test_terminal_pmf_rows_match_path_enumeration():
         assert cont[2:] == pytest.approx([oracle[(s, 29)] for s in range(2, 30)], abs=1e-12)
         assert continuation_tail(cont, DESIGN.a + 1) == reject_prob(p, DESIGN)
         assert continuation_tail(cont, 30) == 0.0
+
+
+ORACLE_DESIGNS = [(1, 5, 10, 29), (13, 40, 40, 110), (5, 13, 105, 169), (30, 80, 150, 400)]
+
+
+@pytest.mark.parametrize("a1,a,n1,n", ORACLE_DESIGNS)
+def test_terminal_pmf_matches_exact_path_enumeration(a1, a, n1, n):
+    design = TwoStageDesign(a1=a1, a=a, n1=n1, n=n)
+    for p in (1e-4, 0.01, 0.3, 0.77, 0.999):
+        stop, cont = terminal_pmf(design, p)
+        exact_stop, exact_cont = exact_terminal_rows(a1, n1, n, p)
+        assert cont[: a1 + 1] == [0.0] * (a1 + 1)
+        for got, want in zip(stop + cont, exact_stop + exact_cont):
+            if want > 1e-290:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("a1,a,n1,n", ORACLE_DESIGNS)
+def test_terminal_pmf_is_exact_at_p_0_and_1(a1, a, n1, n):
+    design = TwoStageDesign(a1=a1, a=a, n1=n1, n=n)
+    assert terminal_pmf(design, 0.0) == ([1.0] + [0.0] * a1, [0.0] * (n + 1))
+    assert terminal_pmf(design, 1.0) == ([0.0] * (a1 + 1), [0.0] * n + [1.0])
+
+
+def test_terminal_pmf_counts_beyond_the_float_range():
+    # C(2000, 1000) is about 1e600; the kernel takes logs of exact counts
+    design = TwoStageDesign(a1=300, a=900, n1=1000, n=2000)
+    assert max(_log_counts(300, 1000, 2000)) > math.log(sys.float_info.max)
+    for p in (0.3, 0.5, 0.77):
+        stop, cont = terminal_pmf(design, p)
+        assert all(math.isfinite(x) for x in stop + cont)
+        assert math.fsum(stop) + math.fsum(cont) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_terminal_pmf_builds_one_count_row_per_design():
+    design = TwoStageDesign(a1=4, a=15, n1=19, n=54)
+    _log_counts.cache_clear()
+    for k in range(1, 201):
+        terminal_pmf(design, k / 201)
+    info = _log_counts.cache_info()
+    assert (info.misses, info.hits) == (1, 199)
+
+
+def test_terminal_pmf_rejects_a_final_size_above_the_cap():
+    with pytest.raises(ValueError, match="cap"):
+        terminal_pmf(DESIGN, 0.1, 10**6)
+    with pytest.raises(ValueError, match="cap"):
+        reject_prob(0.1, TwoStageDesign(a1=1, a=5, n1=10, n=MAX_SAMPLE_SIZE + 1))
 
 
 def test_terminal_distribution_known_value():

@@ -6,7 +6,8 @@ import pytest
 from scipy.stats import binom as scipy_binom
 
 from oracles import stage_paths
-from twostage.design import DesignTargets, TwoStageDesign
+from twostage import deviation
+from twostage.design import DesignTargets, TwoStageDesign, terminal_pmf
 from twostage.deviation import (
     DeviatedAnalysis,
     conditional_error,
@@ -141,6 +142,44 @@ def test_interpretation_probabilities_match_path_enumeration():
             at_least += pr
     assert probs.naive_above_p0_at_p0 == pytest.approx(above, abs=1e-12)
     assert probs.naive_at_least_p1_at_p0 == pytest.approx(at_least, abs=1e-12)
+
+
+def test_interpretation_probabilities_build_each_kernel_once(monkeypatch):
+    calls = []
+
+    def counted(design, p, n_final=None):
+        calls.append(p)
+        return terminal_pmf(design, p, n_final)
+
+    monkeypatch.setattr(deviation, "terminal_pmf", counted)
+    probs = interpretation_probabilities(DESIGN, n_an=31)
+    assert sorted(calls) == [0.1, 0.3]
+    # the same sums as taking each probability from its own kernel
+    for name, indicator, p in (
+        ("naive_above_p0_at_p0", lambda est: est > 0.1, 0.1),
+        ("naive_above_p0_at_p1", lambda est: est > 0.1, 0.3),
+        ("naive_at_least_p1_at_p0", lambda est: est >= 0.3, 0.1),
+        ("naive_at_least_p1_at_p1", lambda est: est >= 0.3, 0.3),
+    ):
+        stop, cont = terminal_pmf(DESIGN, p, 31)
+        terms = [stop[s] for s in range(2) if indicator(s / 10)]
+        terms += [cont[s] for s in range(2, 32) if indicator(s / 31)]
+        assert getattr(probs, name) == min(1.0, math.fsum(terms))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: DeviatedAnalysis(design=DESIGN, n_an=10**6, s1=3, s_an=4),
+        lambda: reject_prob_retained(0.1, DESIGN, 10**6),
+        lambda: reject_prob_ek(0.1, DESIGN, 10**6),
+        lambda: interpretation_probabilities(DESIGN, n_an=10**6),
+    ],
+    ids=["analysis", "retained", "ek", "interpretation"],
+)
+def test_final_size_above_the_cap_is_rejected(call):
+    with pytest.raises(ValueError, match="cap"):
+        call()
 
 
 def test_interpretation_probabilities_differ_from_error_rates():
