@@ -3,6 +3,14 @@
 All probabilities are computed in log-space with compensated summation so
 that double precision suffices for every sample size the package analyses:
 up to MAX_SAMPLE_SIZE, far above any phase II trial.
+
+The bias-adjusted and median-unbiased estimates and the exact interval
+limits are roots of such sums, found by solve_monotone_root with the ITP
+method: within one step of bisection's worst case (at most 37 evaluations
+of the target at the package's tolerance of 1e-10) and much faster on
+smooth targets. Its bracket contract is bisection's: the result is the
+midpoint of a final bracket no wider than the tolerance across which the
+target is crossed.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ def binom_pmf_row(m: int, p: float, start: int = 0, stop: int | None = None) -> 
     0 <= start; stop defaults to m + 1.
 
     binom_pmf caches single terms of it; the row itself is not cached.
-    The terminal-outcome kernel and the tails are mostly taken at bisection
+    The terminal-outcome kernel and the tails are mostly taken at root-solve
     points that never recur; caching their terms one by one would fill the
     scalar cache with entries that are never read again.
     """
@@ -100,11 +108,23 @@ def solve_monotone_root(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> RootResult:
-    """Solve f(p) = target for a monotone f on [0, 1] by bisection.
+    """Solve f(p) = target for a monotone f on [0, 1] by ITP.
 
     A target equal to f(0) or f(1) gives that boundary exactly. If the
     target is not bracketed by f(0) and f(1), the nearer boundary is
-    returned with ``out_of_bracket`` set.
+    returned with ``out_of_bracket`` set. A point where f equals the target
+    exactly is returned as it is. Otherwise the result is the midpoint of a
+    final bracket [lo, hi] with hi - lo <= tol across which f - target
+    changes sign.
+
+    ITP (interpolate, truncate, project; Oliveira & Takahashi 2021) steps
+    from the regula falsi point of f - target, moved towards the midpoint
+    by kappa1 * (hi - lo)**kappa2, and projected to within a radius of the
+    midpoint that shrinks as bisection's would. With kappa1 = 0.2,
+    kappa2 = 2 and n0 = 1, a solve takes at most ceil(log2(1 / tol)) + 1
+    steps, one more than bisection, plus the two endpoint evaluations: 37
+    at tol = 1e-10. On smooth targets it converges superlinearly and
+    takes far fewer.
     """
     f0 = f(0.0)
     if target == f0:
@@ -119,17 +139,33 @@ def solve_monotone_root(
     if target > hi_val:
         return RootResult(1.0 if increasing else 0.0, out_of_bracket=True)
     lo, hi = 0.0, 1.0
+    y_lo, y_hi = f0 - target, f1 - target
+    # the widest bracket step j may leave is eps * 2**(n_max - j), with
+    # n_max = ceil(log2(1 / tol)) + n0 steps; eps is a few ulps under
+    # tol / 2 so that rounding cannot leave the last bracket wider than tol.
+    # At a tol of a few ulps or less the radius is 0 and every step bisects.
+    n_half = math.ceil(math.log2(1.0 / max(tol, math.ulp(1.0))))
+    radius = (tol - 4 * math.ulp(1.0)) * 2.0**n_half
     for _ in range(max_iter):
-        if hi - lo <= tol:
+        width = hi - lo
+        if width <= tol:
             break
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == target:
-            return RootResult(mid)
-        if (fm < target) == increasing:
-            lo = mid
+        r = max(0.0, radius - 0.5 * width)
+        radius *= 0.5
+        x = (y_hi * lo - y_lo * hi) / (y_hi - y_lo)
+        sigma = 1.0 if mid >= x else -1.0
+        delta = 0.2 * width * width
+        x = x + sigma * delta if delta <= abs(mid - x) else mid
+        if abs(x - mid) > r:
+            x = mid - sigma * r
+        y = f(x) - target
+        if y == 0.0:
+            return RootResult(x)
+        if (y < 0.0) == (y_lo < 0.0):
+            lo, y_lo = x, y
         else:
-            hi = mid
+            hi, y_hi = x, y
     return RootResult(0.5 * (lo + hi))
 
 

@@ -14,9 +14,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from operator import mul
+from typing import Callable, Iterable, Optional
 
 from .binomial import (
+    MAX_SAMPLE_SIZE,
     RootResult,
     binom_cdf,
     binom_upper_tail,
@@ -46,6 +48,12 @@ class AnalysisState:
 
     def __post_init__(self) -> None:
         d = self.design.require_valid()
+        if self.m > MAX_SAMPLE_SIZE:
+            # checked here because the CP, Wald and Wilson intervals and the
+            # UMVUE never reach the kernel's own cap
+            raise ValueError(
+                f"analysed sample size {self.m} exceeds the cap of {MAX_SAMPLE_SIZE}"
+            )
         if self.stage == 1:
             if self.m != d.n1:
                 raise ValueError(f"stage-1 analysis must use m = n1 = {d.n1}, got {self.m}")
@@ -154,6 +162,19 @@ def _outcome_probs(design: TwoStageDesign, p: float) -> list[float]:
     return stop + cont[design.a1 + 1 :]
 
 
+def _expectation(values: Iterable[float], design: TwoStageDesign, p: float) -> float:
+    """Sum of values[k] * P(outcome k) over the terminal outcomes under p.
+
+    ``values`` follows the order of terminal_outcomes and depends only on
+    the outcome, so a root solve builds it once and each evaluation costs
+    one terminal_pmf call. The outcome probabilities are taken before the
+    values are read, so a design above the sample-size cap raises before
+    a lazy ``values`` computes anything. fsum rounds the exact sum of the
+    products once, so the result does not depend on their order.
+    """
+    return math.fsum(map(mul, values, _outcome_probs(design, p)))
+
+
 def _naive_procedure(s: int, m: int, design: TwoStageDesign) -> float:
     return s / m
 
@@ -169,15 +190,9 @@ def estimator_bias(
     callable (s, m, design) -> value defined on every terminal outcome.
     """
     fn = _PROCEDURES[estimator] if isinstance(estimator, str) else estimator
-    expected = math.fsum(
-        fn(o.s, o.m, design) * prob
-        for o, prob in zip(terminal_outcomes(design), _outcome_probs(design, p))
-    )
+    values = (fn(o.s, o.m, design) for o in terminal_outcomes(design))
+    expected = _expectation(values, design, p)
     return expected, expected - p
-
-
-def _naive_expectation(p: float, design: TwoStageDesign) -> float:
-    return estimator_bias("naive", p, design)[0]
 
 
 def estimate_bias_subtracted(state: AnalysisState) -> Estimate:
@@ -194,7 +209,8 @@ def estimate_bias_adjusted(state: AnalysisState) -> Estimate:
     """The p solving p = naive - Bias(naive | p), i.e. E(naive | p) = naive."""
     d = state.analysis_design
     naive = estimate_naive(state.s, state.m)
-    root = solve_monotone_root(lambda p: _naive_expectation(p, d), naive, tol=ROOT_TOL)
+    values = [_naive_procedure(o.s, o.m, d) for o in terminal_outcomes(d)]
+    root = solve_monotone_root(lambda p: _expectation(values, d, p), naive, tol=ROOT_TOL)
     note = "no root in [0, 1]; clamped to boundary" if root.out_of_bracket else None
     return Estimate(value=root.value, clamped=root.out_of_bracket, note=note)
 
@@ -438,7 +454,7 @@ def ci_midp(state: AnalysisState, level: float = 0.95) -> ConfidenceInterval:
     weights = [0.0 if r < observed else 0.5 if r == observed else 1.0 for r in ranks]
 
     def tail(p: float) -> float:
-        return math.fsum(w * prob for w, prob in zip(weights, _outcome_probs(d, p)))
+        return _expectation(weights, d, p)
 
     low = solve_monotone_root(tail, alpha_ci / 2.0, tol=ROOT_TOL)
     upp = solve_monotone_root(tail, 1.0 - alpha_ci / 2.0, tol=ROOT_TOL)

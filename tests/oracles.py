@@ -1,12 +1,14 @@
 """Independent reference implementations used only to check the package.
 
-Everything here is written against scipy/numpy or exact integer arithmetic
-from the defining formulas, deliberately avoiding the package's own
+Everything here is written against scipy/numpy, mpmath or exact integer
+arithmetic from the defining formulas, deliberately avoiding the package's own
 computational paths.
 """
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy.stats import binom as scipy_binom
 
@@ -44,14 +46,61 @@ def exact_terminal_rows(a1, n1, n, p):
     int / int division, which Python rounds correctly.
     """
     num, den = p.as_integer_ratio()
-    q, n2 = den - num, n - n1
+    q = den - num
+    stop = [math.comb(n1, s) * num**s * q ** (n1 - s) / den**n1 for s in range(a1 + 1)]
+    cont = [c * num**s * q ** (n - s) / den**n for s, c in enumerate(_paths(a1, n1, n))]
+    return stop, cont
+
+
+def _paths(a1, n1, n):
+    """Number of paths that continue past a1 and end with s successes, s = 0..n."""
+    n2 = n - n1
     paths = [0] * (n + 1)
     for i in range(a1 + 1, n1 + 1):
         for j in range(n2 + 1):
             paths[i + j] += math.comb(n1, i) * math.comb(n2, j)
-    stop = [math.comb(n1, s) * num**s * q ** (n1 - s) / den**n1 for s in range(a1 + 1)]
-    cont = [c * num**s * q ** (n - s) / den**n for s, c in enumerate(paths)]
-    return stop, cont
+    return paths
+
+
+def exact_stagewise_tails(s, m, a1, n1, n, p):
+    """(q, q_lower) of the terminal outcome (s, m) at a rational p, exactly.
+
+    q is the probability of an outcome at or above (s, m) in the stagewise
+    order, q_lower of one at or below it. p is a float or a Fraction; every
+    path probability is an integer over den^m (see exact_terminal_rows), so
+    both tails are sums of integers over one common denominator.
+    """
+    num, den = p.as_integer_ratio()
+    if m == n1:
+        terms = _path_numerators([math.comb(n1, k) for k in range(n1 + 1)], num, den)
+        return Fraction(sum(terms[s:]), den**n1), Fraction(sum(terms[: s + 1]), den**n1)
+    cont = _path_numerators(_paths(a1, n1, n), num, den)
+    stop = _path_numerators([math.comb(n1, k) for k in range(n1 + 1)], num, den)[: a1 + 1]
+    return (
+        Fraction(sum(cont[s:]), den**n),
+        Fraction(sum(stop) * den ** (n - n1) + sum(cont[: s + 1]), den**n),
+    )
+
+
+def _path_numerators(counts, num, den):
+    """counts[k] * num^k * (den - num)^(m - k) for k = 0..m, m = len(counts) - 1."""
+    m, q = len(counts) - 1, den - num
+    num_pows, q_pows = [1], [1]
+    for _ in range(m):
+        num_pows.append(num_pows[-1] * num)
+        q_pows.append(q_pows[-1] * q)
+    return [c * num_pows[k] * q_pows[m - k] for k, c in enumerate(counts)]
+
+
+def binom_tails_mp(s, m, p):
+    """(P(X >= s), P(X <= s)) for X ~ Bin(m, p), summed term by term in
+    mpmath at 60 significant digits; p is an mpf in (0, 1)."""
+    with mpmath.workdps(60):
+        ratio, term, terms = p / (1 - p), (1 - p) ** m, []
+        for k in range(m + 1):
+            terms.append(term)
+            term = term * ratio * (m - k) / (k + 1)
+        return mpmath.fsum(terms[s:]), mpmath.fsum(terms[: s + 1])
 
 
 def reject_prob_oracle(a1, a, n1, n, p):

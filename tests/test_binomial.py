@@ -1,13 +1,16 @@
 """Binomial kernel against scipy and exact-fraction oracles."""
 
 import math
+import statistics
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom as scipy_binom
 
+from oracles import binom_tails_mp, exact_stagewise_tails
 from twostage.binomial import (
     binom_cdf,
     binom_pmf,
@@ -16,6 +19,8 @@ from twostage.binomial import (
     normal_quantile,
     solve_monotone_root,
 )
+from twostage.design import TwoStageDesign, terminal_outcomes
+from twostage.inference import ROOT_TOL, q_lower_value, q_value
 
 GRID = [
     (s, m, p)
@@ -126,6 +131,140 @@ def test_root_solver_out_of_bracket():
     assert root.out_of_bracket and root.value == 1.0
     root = solve_monotone_root(lambda p: p * 0.5, -0.1)
     assert root.out_of_bracket and root.value == 0.0
+
+
+def _solve_counted(f, target, tol=ROOT_TOL):
+    """The root of f = target and the number of evaluations of f it took."""
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return f(p)
+
+    return solve_monotone_root(counted, target, tol=tol), len(calls)
+
+
+def _max_evals(tol):
+    # bisection needs ceil(log2(1 / tol)) steps; ITP allows one more, plus
+    # the two endpoint evaluations
+    return math.ceil(math.log2(1.0 / tol)) + 3
+
+
+CP_CASES = [(s, m) for m in (5, 40, 200, 1000) for s in sorted({1, m // 4, m // 2, m - 1})]
+ROOT_LEVELS = (0.9, 0.95, 0.999)
+JT_DESIGNS = ("1/10,5/29", "3/13,12/43", "13/40,40/110")
+
+
+@pytest.fixture(scope="module")
+def cp_solves():
+    """(s, m, side, target, root, evaluations) of every interior CP limit."""
+    out = []
+    for s, m in CP_CASES:
+        for level in ROOT_LEVELS:
+            target = (1.0 - level) / 2.0
+            for side, f in (("upper", lambda p: binom_upper_tail(s, m, p)),
+                            ("lower", lambda p: binom_cdf(s, m, p))):
+                root, evals = _solve_counted(f, target)
+                assert not root.out_of_bracket
+                out.append((s, m, side, target, root.value, evals))
+    return out
+
+
+@pytest.fixture(scope="module")
+def jt_solves():
+    """(design, s, m, side, target, root, evaluations) of every JT limit
+    that is a root inside (0, 1)."""
+    out = []
+    for text in JT_DESIGNS:
+        d = TwoStageDesign.from_compact(text)
+        for o in terminal_outcomes(d):
+            for level in ROOT_LEVELS[1:]:
+                target = (1.0 - level) / 2.0
+                for side, q in (("upper", q_value), ("lower", q_lower_value)):
+                    root, evals = _solve_counted(lambda p: q(o.s, o.m, p, d), target)
+                    if not root.out_of_bracket and 0.0 < root.value < 1.0:
+                        out.append((d, o.s, o.m, side, target, root.value, evals))
+    return out
+
+
+def test_cp_roots_straddle_the_exact_tail(cp_solves):
+    # the root lies within tol / 2 of the exact root of the exact tail
+    half = mpmath.mpf(ROOT_TOL) / 2
+    for s, m, side, target, value, _ in cp_solves:
+        k = 0 if side == "upper" else 1
+        below = binom_tails_mp(s, m, mpmath.mpf(value) - half)[k]
+        above = binom_tails_mp(s, m, mpmath.mpf(value) + half)[k]
+        if side == "upper":  # increasing in p
+            assert below <= target <= above, (s, m, side, target)
+        else:
+            assert below >= target >= above, (s, m, side, target)
+
+
+def test_jt_roots_straddle_the_exact_tails(jt_solves):
+    half = Fraction(ROOT_TOL) / 2
+    for d, s, m, side, target, value, _ in jt_solves:
+        k = 0 if side == "upper" else 1
+        below = exact_stagewise_tails(s, m, d.a1, d.n1, d.n, Fraction(value) - half)[k]
+        above = exact_stagewise_tails(s, m, d.a1, d.n1, d.n, Fraction(value) + half)[k]
+        if side == "upper":  # q increases in p, q_lower decreases
+            assert below <= target <= above, (d.compact(), s, m, side, target)
+        else:
+            assert below >= target >= above, (d.compact(), s, m, side, target)
+
+
+def test_root_solves_stay_within_the_worst_case(cp_solves, jt_solves):
+    evals = [r[-1] for r in cp_solves + jt_solves]
+    assert len(evals) > 300
+    assert max(evals) <= _max_evals(ROOT_TOL) == 37
+
+
+def test_root_solves_average_well_under_bisection(cp_solves, jt_solves):
+    # bisection takes 36 evaluations on every one of these solves
+    assert statistics.fmean(r[-1] for r in cp_solves) <= 30
+    assert statistics.fmean(r[-1] for r in jt_solves) <= 30
+
+
+def _kinked(p):
+    # slope 1e-3 up to 0.9, then 1e3: while 1 is an endpoint of the bracket,
+    # the interpolation point lands next to the other endpoint
+    return p * 1e-3 if p <= 0.9 else 9e-4 + (p - 0.9) * 1e3
+
+
+ADVERSARIAL = {
+    "staircase": (lambda p: math.floor(10.0 * p) / 10.0, (0.05, 0.35, 0.95)),
+    "p**50": (lambda p: p**50, (1e-300, 1e-12, 0.3, 0.999)),
+    "kinked": (_kinked, (1e-9, 5e-4, 8.9e-4, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+@pytest.mark.parametrize("increasing", [True, False])
+def test_adversarial_monotone_targets(name, tol, increasing):
+    f, targets = ADVERSARIAL[name]
+    sign = 1.0 if increasing else -1.0
+    for target in targets:
+        root, evals = _solve_counted(lambda p: sign * f(p), sign * target, tol)
+        assert evals <= _max_evals(tol), (target, evals)
+        assert not root.out_of_bracket
+        below, above = f(root.value - tol / 2), f(root.value + tol / 2)
+        assert below <= target <= above, (target, root.value)
+
+
+def test_root_solver_exact_hit_returns_that_point():
+    root = solve_monotone_root(lambda p: p, 0.5)
+    assert root.value == 0.5 and not root.out_of_bracket
+
+    def staircase(p):
+        return math.floor(10.0 * p) / 10.0
+
+    root = solve_monotone_root(staircase, 0.3)
+    assert staircase(root.value) == 0.3
+
+
+def test_root_solver_at_zero_tolerance_bisects_to_float_resolution():
+    root = solve_monotone_root(lambda p: p * p, 0.3, tol=0.0)
+    assert root.value * root.value == pytest.approx(0.3, abs=1e-15)
 
 
 def test_normal_quantile():

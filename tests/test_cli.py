@@ -162,10 +162,20 @@ def test_pvalue(capsys):
          "--alpha", "0.05", "--beta", "0.2"],
         ["deviate", "--design", "1/10,5/29", "--p0", "0.1", "--p1", "0.3",
          "--alpha", "0.05", "--beta", "0.2", "--n-an", str(10**6), "--s1", "3", "--s", "6"],
+        ["ci", "--design", "1/10,5/29", "--s", "30000", "--m", str(10**6), "--method", "cp"],
+        ["estimate", "--design", "1/10,5/29", "--s", "6", "--m", str(10**6),
+         "--methods", "umvue"],
     ],
-    ids=["estimate", "oc", "deviate"],
+    ids=["estimate", "oc", "deviate", "ci-cp", "estimate-umvue"],
 )
-def test_sample_size_above_the_cap_is_invalid_input(capsys, argv):
+def test_sample_size_above_the_cap_is_invalid_input(capsys, monkeypatch, argv):
+    # the cap is checked before any analysis starts: the work these commands
+    # would do at 10**6 must never run
+    def never(*args, **kwargs):
+        raise AssertionError("analysis started above the sample-size cap")
+
+    for name in ("solve_monotone_root", "terminal_pmf", "umvue_fraction"):
+        monkeypatch.setattr(f"twostage.inference.{name}", never)
     status, _, err = run(capsys, *argv)
     assert status == 2
     assert err.startswith("INVALID_INPUT:") and "cap" in err

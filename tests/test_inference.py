@@ -10,6 +10,8 @@ from scipy.stats import binom as scipy_binom
 from scipy.stats import f as f_dist
 
 from oracles import stage_paths, terminal_probs
+from twostage import inference
+from twostage.binomial import solve_monotone_root
 from twostage.design import DesignTargets, TerminalOutcome, TwoStageDesign
 from twostage.inference import (
     AnalysisState,
@@ -148,6 +150,28 @@ def test_bias_adjusted_fixed_point():
     assert expected == pytest.approx(6 / 29, abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "design, m",
+    [(DESIGN, 29), (DESIGNS[2], 43), (DESIGNS[3], 46), (DESIGN, 26)],
+    ids=["1/10,5/29", "3/13,12/43", "5/15,18/46", "1/10,5/29@26"],
+)
+def test_bias_adjusted_target_is_the_naive_expectation_bit_for_bit(monkeypatch, design, m):
+    # the root's target reads the outcome values once and the kernel at each
+    # p; it must be estimator_bias's sum exactly, not merely close to it
+    targets = []
+
+    def capture(f, target, tol):
+        targets.append(f)
+        return solve_monotone_root(f, target, tol=tol)
+
+    monkeypatch.setattr(inference, "solve_monotone_root", capture)
+    st_ = AnalysisState(design=design, s=design.a1 + 3, m=m, stage=2)
+    estimate_bias_adjusted(st_)
+    (f,) = targets
+    for p in [k / 49 for k in range(50)]:
+        assert f(p) == estimator_bias("naive", p, st_.analysis_design)[0]
+
+
 def test_bias_adjusted_exact_at_boundaries():
     # E(naive | p) equals the naive estimate at p = 0 and p = 1 exactly
     assert estimate_bias_adjusted(state(0, 10)).value == 0.0
@@ -217,6 +241,8 @@ def test_analysis_state_validation():
         AnalysisState(design=DESIGN, s=30, m=29, stage=2)
     with pytest.raises(ValueError):
         AnalysisState(design=DESIGN, s=3, m=9, stage=2)  # m below n1
+    with pytest.raises(ValueError, match="cap"):
+        AnalysisState(design=DESIGN, s=6, m=10**6, stage=2)
 
 
 # ---------------------------------------------------------------------------
