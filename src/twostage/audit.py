@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 from typing import Iterable, Optional, TextIO, Union
@@ -122,6 +123,10 @@ _FIELD_BY_COLUMN = {
     "ci_method": "ci_method_stated",
 }
 
+# reported values whose precision is read off the text, when no decimals
+# column gives it; the first of ci_low and ci_upp sets the interval's
+_DECIMALS_FIELD = {"est": "est_decimals", "ci_low": "ci_decimals", "ci_upp": "ci_decimals"}
+
 
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
@@ -197,16 +202,12 @@ def parse_records(
                     if not 0.0 <= value <= 1.0:
                         raise ValueError(f"proportion out of range: {value}")
                     setattr(record, name, value)
-                    if column == "est" and record.est_decimals is None:
+                    precision = _DECIMALS_FIELD.get(column)
+                    if precision is not None and getattr(record, precision) is None:
                         decimals = _decimals_in(raw)
                         if column in record.percent_normalised:
                             decimals += 2
-                        record.est_decimals = decimals
-                    if column in ("ci_low", "ci_upp") and record.ci_decimals is None:
-                        decimals = _decimals_in(raw)
-                        if column in record.percent_normalised:
-                            decimals += 2
-                        record.ci_decimals = decimals
+                        setattr(record, precision, decimals)
             except (TypeError, ValueError) as exc:
                 problems.append(f"column {column!r}: {exc}")
         for column in ("n", "n_analysis"):
@@ -245,6 +246,8 @@ class ConsistencyResult:
     matched_intervals: set[str] = field(default_factory=set)
     adjusted_evaluable: bool = False
     candidates: dict = field(default_factory=dict)
+    # the adjusted candidates' analysis state, for the figure data
+    _state: Optional[AnalysisState] = field(default=None, repr=False, compare=False)
 
 
 def _rounds_to(candidate: float, reported: float, decimals: int) -> bool:
@@ -259,49 +262,47 @@ def _rounds_to(candidate: float, reported: float, decimals: int) -> bool:
     return False
 
 
-def _analysis_design(record: TrialRecord) -> Optional[TwoStageDesign]:
-    """Design usable for adjusted inference at the analysed sample size."""
-    if record.a1 is None or record.n1 is None or record.n_analysis is None:
-        return None
-    if record.n_analysis <= record.n1 or record.a1 >= record.n1:
-        return None
-    a = record.a if record.a is not None and record.a1 <= record.a < record.n_analysis else record.a1
-    try:
-        return TwoStageDesign(
-            a1=record.a1, a=a, n1=record.n1, n=record.n_analysis
-        ).require_valid()
-    except ValueError:
-        return None
-
-
 def _analysis_state(record: TrialRecord) -> Optional[AnalysisState]:
-    design = _analysis_design(record)
-    if design is None or record.s_analysis is None:
+    """The stage-2 analysis at the analysed sample size, on the design
+    usable for adjusted inference there (``state.design``); None when the
+    record does not give one."""
+    r = record
+    if None in (r.a1, r.n1, r.n_analysis, r.s_analysis):
         return None
+    if r.n_analysis <= r.n1 or r.a1 >= r.n1:
+        return None
+    a = r.a if r.a is not None and r.a1 <= r.a < r.n_analysis else r.a1
     try:
         return AnalysisState(
-            design=design,
-            s=record.s_analysis,
-            m=record.n_analysis,
+            design=TwoStageDesign(a1=r.a1, a=a, n1=r.n1, n=r.n_analysis),
+            s=r.s_analysis,
+            m=r.n_analysis,
             stage=2,
-            s1=record.s1,
+            s1=r.s1,
         )
     except ValueError:
         return None
 
 
+def _stage2_gap(record: TrialRecord) -> Optional[str]:
+    """Why the record cannot be re-analysed as a completed trial, or None."""
+    if infer_termination_stage(record) != 2:
+        return "termination stage not 2"
+    if record.s_analysis is None or record.n_analysis is None:
+        return "successes or sample size absent"
+    return None
+
+
 def check_estimate_consistency(record: TrialRecord) -> ConsistencyResult:
     """Which estimation procedures reproduce the reported point estimate."""
-    if infer_termination_stage(record) != 2:
-        return ConsistencyResult(False, reason="termination stage not 2")
-    if record.s_analysis is None or record.n_analysis is None:
-        return ConsistencyResult(False, reason="successes or sample size absent")
-    if record.est_reported is None:
-        return ConsistencyResult(False, reason="estimate absent")
+    reason = _stage2_gap(record)
+    if reason is None and record.est_reported is None:
+        reason = "estimate absent"
+    if reason is not None:
+        return ConsistencyResult(False, reason=reason)
     decimals = record.est_decimals if record.est_decimals is not None else 2
     candidates = {"naive": estimate_naive(record.s_analysis, record.n_analysis)}
     state = _analysis_state(record)
-    adjusted_evaluable = state is not None
     if state is not None:
         estimates = estimate_all(state)
         for name in ADJUSTED_ESTIMATORS:
@@ -314,17 +315,16 @@ def check_estimate_consistency(record: TrialRecord) -> ConsistencyResult:
     return ConsistencyResult(
         True,
         matched_estimators=matched,
-        adjusted_evaluable=adjusted_evaluable,
+        adjusted_evaluable=state is not None,
         candidates=candidates,
     )
 
 
 def check_ci_consistency(record: TrialRecord) -> ConsistencyResult:
     """Which interval procedures reproduce both reported CI endpoints."""
-    if infer_termination_stage(record) != 2:
-        return ConsistencyResult(False, reason="termination stage not 2")
-    if record.s_analysis is None or record.n_analysis is None:
-        return ConsistencyResult(False, reason="successes or sample size absent")
+    reason = _stage2_gap(record)
+    if reason is not None:
+        return ConsistencyResult(False, reason=reason)
     if record.ci_low is None or record.ci_upp is None:
         return ConsistencyResult(False, reason="interval absent")
     if record.ci_level is None:
@@ -338,17 +338,16 @@ def check_ci_consistency(record: TrialRecord) -> ConsistencyResult:
         return ConsistencyResult(False, reason="not evaluable (method out of scope)")
     decimals = record.ci_decimals if record.ci_decimals is not None else 2
     s, m, level = record.s_analysis, record.n_analysis, record.ci_level
-    outcome = TerminalOutcome(s=s, stage=2, m=m)
     candidates: dict[str, ConfidenceInterval] = {
         "CP": ci_clopper_pearson(s, m, level),
         "Wald": ci_wald(s, m, level),
         "Wilson": ci_wilson(s, m, level),
     }
-    design = _analysis_design(record)
-    adjusted_evaluable = design is not None and _analysis_state(record) is not None
-    if adjusted_evaluable:
+    state = _analysis_state(record)
+    if state is not None:
+        outcome = TerminalOutcome(s=s, stage=2, m=m)
         for method in ADJUSTED_CIS:
-            candidates[method] = interval_for_outcome(method, outcome, design, level)
+            candidates[method] = interval_for_outcome(method, outcome, state.design, level)
     matched = {
         name
         for name, ci in candidates.items()
@@ -358,8 +357,9 @@ def check_ci_consistency(record: TrialRecord) -> ConsistencyResult:
     return ConsistencyResult(
         True,
         matched_intervals=matched,
-        adjusted_evaluable=adjusted_evaluable,
+        adjusted_evaluable=state is not None,
         candidates=candidates,
+        _state=state,
     )
 
 
@@ -368,173 +368,124 @@ def _stat(count: int, denominator: int) -> dict:
     return {"count": count, "denominator": denominator, "percent": pct}
 
 
+def _stated(*fields: str):
+    """Predicate: the record gives every one of the fields."""
+    return lambda r: all(getattr(r, name) is not None for name in fields)
+
+
+def _flag(name: str):
+    """Predicate: the record answers yes to the flag."""
+    return lambda r: bool(getattr(r, name))
+
+
+def _reported_any(r: TrialRecord) -> bool:
+    return r.est_reported is not None or r.pvalue_reported is not None or r.ci_low is not None
+
+
+_TARGETS = ("p0", "p1", "alpha", "beta")
+_BOUNDARIES = ("a1", "a", "n1", "n")
+
+# share of all records; "justified_p0" is a flag, the rest are stated fields
+_DESIGN_REPORTING = {
+    **{f"stated_{name}": _stated(name) for name in (*_TARGETS, "criterion", *_BOUNDARIES)},
+    "justified_p0": _flag("p0_justified"),
+    "stated_p0_p1": _stated("p0", "p1"),
+    "stated_p0_p1_alpha_beta": _stated(*_TARGETS),
+    "stated_a1_a_n1_n": _stated(*_BOUNDARIES),
+    "stated_five_design_components": _stated(*_TARGETS, "criterion"),
+    "stated_all_nine_components": _stated(*_TARGETS, "criterion", *_BOUNDARIES),
+}
+
+# share of the records in each termination stratum
+_INFERENCE_REPORTING = {
+    "reported_any_inference": _reported_any,
+    "reported_estimate": _stated("est_reported"),
+    "estimate_stated_adjusted": _flag("est_stated_adjusted"),
+    "reported_pvalue": _stated("pvalue_reported"),
+    "pvalue_stated_adjusted": _flag("pvalue_stated_adjusted"),
+    "reported_ci": _stated("ci_low"),
+    "ci_stated_adjusted": _flag("ci_stated_adjusted"),
+}
+
+
+def _tally(table: dict, group: list[TrialRecord]) -> dict:
+    return {key: _stat(sum(map(pred, group)), len(group)) for key, pred in table.items()}
+
+
+def _matches(checks: list[ConsistencyResult], attr: str, names: tuple[str, ...]) -> dict:
+    """Share of the checks that matched at least one of the procedures."""
+    return _stat(sum(1 for c in checks if not getattr(c, attr).isdisjoint(names)), len(checks))
+
+
 def audit_summary(records: list[TrialRecord]) -> dict:
     """Aggregate reporting and consistency statistics.
+
+    Every reporting count comes from one of two predicate tables:
+    _DESIGN_REPORTING over all records and _INFERENCE_REPORTING over each
+    termination stratum. Only "analysis_at_planned_n" has a denominator of
+    its own: the stratum's records that report inference and give both n
+    and n_analysis.
 
     Returns a JSON-serialisable dict with explicit denominators for every
     percentage; percentages are given to one decimal place and are None
     when the denominator is zero.
     """
     total = len(records)
-    stage_of = [infer_termination_stage(r) for r in records]
-
-    def count(pred) -> int:
-        return sum(1 for r in records if pred(r))
-
-    design_reporting = {
-        "stated_p0": _stat(count(lambda r: r.p0 is not None), total),
-        "justified_p0": _stat(count(lambda r: bool(r.p0_justified)), total),
-        "stated_p1": _stat(count(lambda r: r.p1 is not None), total),
-        "stated_alpha": _stat(count(lambda r: r.alpha is not None), total),
-        "stated_beta": _stat(count(lambda r: r.beta is not None), total),
-        "stated_criterion": _stat(count(lambda r: r.criterion is not None), total),
-        "stated_a1": _stat(count(lambda r: r.a1 is not None), total),
-        "stated_a": _stat(count(lambda r: r.a is not None), total),
-        "stated_n1": _stat(count(lambda r: r.n1 is not None), total),
-        "stated_n": _stat(count(lambda r: r.n is not None), total),
-        "stated_p0_p1": _stat(
-            count(lambda r: r.p0 is not None and r.p1 is not None), total
-        ),
-        "stated_p0_p1_alpha_beta": _stat(
-            count(
-                lambda r: None not in (r.p0, r.p1, r.alpha, r.beta)
-            ),
-            total,
-        ),
-        "stated_a1_a_n1_n": _stat(
-            count(lambda r: None not in (r.a1, r.a, r.n1, r.n)), total
-        ),
-        "stated_five_design_components": _stat(
-            count(
-                lambda r: None not in (r.p0, r.p1, r.alpha, r.beta)
-                and r.criterion is not None
-            ),
-            total,
-        ),
-        "stated_all_nine_components": _stat(
-            count(
-                lambda r: None not in (r.p0, r.p1, r.alpha, r.beta, r.a1, r.a, r.n1, r.n)
-                and r.criterion is not None
-            ),
-            total,
-        ),
-    }
-
     strata: dict[str, list[TrialRecord]] = {"1": [], "2": [], "unclear": []}
-    for r, stage in zip(records, stage_of):
-        strata[str(stage)].append(r)
+    for r in records:
+        strata[str(infer_termination_stage(r))].append(r)
     inference_reporting = {}
     for label, group in list(strata.items()) + [("all", records)]:
-        n = len(group)
-
-        def gcount(pred) -> int:
-            return sum(1 for r in group if pred(r))
-
-        planned_denominator = gcount(
-            lambda r: (
-                r.est_reported is not None
-                or r.pvalue_reported is not None
-                or r.ci_low is not None
-            )
-            and r.n is not None
-            and r.n_analysis is not None
+        planned = [
+            r for r in group if _reported_any(r) and r.n is not None and r.n_analysis is not None
+        ]
+        inference_reporting[label] = _tally(_INFERENCE_REPORTING, group)
+        inference_reporting[label]["analysis_at_planned_n"] = _stat(
+            sum(1 for r in planned if r.n_analysis == r.n), len(planned)
         )
-        inference_reporting[label] = {
-            "reported_any_inference": _stat(
-                gcount(
-                    lambda r: r.est_reported is not None
-                    or r.pvalue_reported is not None
-                    or r.ci_low is not None
-                ),
-                n,
-            ),
-            "reported_estimate": _stat(gcount(lambda r: r.est_reported is not None), n),
-            "estimate_stated_adjusted": _stat(
-                gcount(lambda r: bool(r.est_stated_adjusted)), n
-            ),
-            "reported_pvalue": _stat(gcount(lambda r: r.pvalue_reported is not None), n),
-            "pvalue_stated_adjusted": _stat(
-                gcount(lambda r: bool(r.pvalue_stated_adjusted)), n
-            ),
-            "reported_ci": _stat(gcount(lambda r: r.ci_low is not None), n),
-            "ci_stated_adjusted": _stat(gcount(lambda r: bool(r.ci_stated_adjusted)), n),
-            "analysis_at_planned_n": _stat(
-                gcount(
-                    lambda r: (
-                        r.est_reported is not None
-                        or r.pvalue_reported is not None
-                        or r.ci_low is not None
-                    )
-                    and r.n is not None
-                    and r.n_analysis == r.n
-                ),
-                planned_denominator,
-            ),
-        }
 
     stage2 = strata["2"]
     est_checks = [
-        (r, check_estimate_consistency(r))
+        check_estimate_consistency(r)
         for r in stage2
         if not r.est_stated_adjusted and r.est_reported is not None
     ]
-    est_evaluable = [(r, c) for r, c in est_checks if c.evaluable]
-    est_adj_evaluable = [(r, c) for r, c in est_evaluable if c.adjusted_evaluable]
     ci_checks = [
-        (r, check_ci_consistency(r))
+        check_ci_consistency(r)
         for r in stage2
         if not r.ci_stated_adjusted and r.ci_low is not None
     ]
-    ci_evaluable = [(r, c) for r, c in ci_checks if c.evaluable]
-    ci_adj_evaluable = [(r, c) for r, c in ci_evaluable if c.adjusted_evaluable]
+    est_evaluable = [c for c in est_checks if c.evaluable]
+    ci_evaluable = [c for c in ci_checks if c.evaluable]
+    est_adjusted = [c for c in est_evaluable if c.adjusted_evaluable]
+    ci_adjusted = [c for c in ci_evaluable if c.adjusted_evaluable]
     consistency = {
         "estimate_reanalysable": _stat(len(est_evaluable), len(stage2)),
-        "estimate_matches_unadjusted": _stat(
-            sum(1 for _, c in est_evaluable if "naive" in c.matched_estimators),
-            len(est_evaluable),
+        "estimate_matches_unadjusted": _matches(
+            est_evaluable, "matched_estimators", UNADJUSTED_ESTIMATORS
         ),
-        "estimate_matches_any_adjusted": _stat(
-            sum(
-                1
-                for _, c in est_adj_evaluable
-                if c.matched_estimators & set(ADJUSTED_ESTIMATORS)
-            ),
-            len(est_adj_evaluable),
+        "estimate_matches_any_adjusted": _matches(
+            est_adjusted, "matched_estimators", ADJUSTED_ESTIMATORS
         ),
         "ci_reanalysable": _stat(len(ci_evaluable), len(stage2)),
-        "ci_matches_any_unadjusted": _stat(
-            sum(
-                1 for _, c in ci_evaluable if c.matched_intervals & set(UNADJUSTED_CIS)
-            ),
-            len(ci_evaluable),
-        ),
-        "ci_matches_any_adjusted": _stat(
-            sum(1 for _, c in ci_adj_evaluable if c.matched_intervals & set(ADJUSTED_CIS)),
-            len(ci_adj_evaluable),
-        ),
+        "ci_matches_any_unadjusted": _matches(ci_evaluable, "matched_intervals", UNADJUSTED_CIS),
+        "ci_matches_any_adjusted": _matches(ci_adjusted, "matched_intervals", ADJUSTED_CIS),
         "estimate_not_evaluable_reasons": _reason_counts(est_checks),
         "ci_not_evaluable_reasons": _reason_counts(ci_checks),
     }
 
     return {
         "n_records": total,
-        "stage_counts": {
-            "1": _stat(len(strata["1"]), total),
-            "2": _stat(len(strata["2"]), total),
-            "unclear": _stat(len(strata["unclear"]), total),
-        },
-        "design_reporting": design_reporting,
+        "stage_counts": {label: _stat(len(group), total) for label, group in strata.items()},
+        "design_reporting": _tally(_DESIGN_REPORTING, records),
         "inference_reporting": inference_reporting,
         "consistency": consistency,
     }
 
 
-def _reason_counts(checks) -> dict:
-    out: dict[str, int] = {}
-    for _, check in checks:
-        if not check.evaluable and check.reason:
-            out[check.reason] = out.get(check.reason, 0) + 1
-    return dict(sorted(out.items()))
+def _reason_counts(checks: list[ConsistencyResult]) -> dict:
+    reasons = Counter(c.reason for c in checks if not c.evaluable and c.reason)
+    return dict(sorted(reasons.items()))
 
 
 def report_to_json(report: dict) -> str:
@@ -544,137 +495,121 @@ def report_to_json(report: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # figure datasets
+#
+# Each dataset turns one record into either a row or the reason it is
+# skipped; _dataset keeps the rows and counts the reasons in the order
+# they first occur.
 
 
 def export_figure_data(records: list[TrialRecord]) -> dict:
     """The four re-analysis datasets, each a header plus row list, with a
     per-dataset count of records skipped and why."""
     return {
-        "estimates_naive_vs_umvue": _estimates_dataset(records),
-        "ci_length_and_coverage": _ci_dataset(records),
-        "planned_vs_analysed_n": _sample_size_dataset(records),
-        "deviation_error_rates": _error_rate_dataset(records),
+        name: _dataset(records, header, row_of)
+        for name, (header, row_of) in _FIGURE_DATASETS.items()
     }
 
 
-def _skip(skips: dict, reason: str) -> None:
-    skips[reason] = skips.get(reason, 0) + 1
-
-
-def _estimates_dataset(records: list[TrialRecord]) -> dict:
-    header = ["id", "naive", "umvue", "shift_pct_of_effect"]
+def _dataset(records: list[TrialRecord], header: list[str], row_of) -> dict:
     rows = []
     skips: dict[str, int] = {}
     for r in records:
-        if infer_termination_stage(r) != 2:
-            _skip(skips, "termination stage not 2")
-            continue
-        state = _analysis_state(r)
-        if state is None:
-            _skip(skips, "design or analysis data absent")
-            continue
-        naive = estimate_naive(r.s_analysis, r.n_analysis)
-        umvue = estimate_umvue(state)
-        if r.p0 is None or r.p1 is None or r.p1 <= r.p0:
-            _skip(skips, "p0/p1 absent")
-            continue
-        shift = 100.0 * (naive - umvue) / (r.p1 - r.p0)
-        rows.append([r.id, round(naive, 6), round(umvue, 6), round(shift, 2)])
-    return {"header": header, "rows": rows, "skipped": skips}
+        row = row_of(r)
+        if isinstance(row, str):
+            skips[row] = skips.get(row, 0) + 1
+        else:
+            rows.append(row)
+    return {"header": list(header), "rows": rows, "skipped": skips}
 
 
-def _ci_dataset(records: list[TrialRecord]) -> dict:
-    header = [
-        "id", "reported_length", "jt_length", "matched_method",
-        "coverage_reported_method", "coverage_jt",
+def _estimates_row(r: TrialRecord) -> Union[list, str]:
+    if infer_termination_stage(r) != 2:
+        return "termination stage not 2"
+    state = _analysis_state(r)
+    if state is None:
+        return "design or analysis data absent"
+    naive = estimate_naive(r.s_analysis, r.n_analysis)
+    umvue = estimate_umvue(state)
+    if r.p0 is None or r.p1 is None or r.p1 <= r.p0:
+        return "p0/p1 absent"
+    shift = 100.0 * (naive - umvue) / (r.p1 - r.p0)
+    return [r.id, round(naive, 6), round(umvue, 6), round(shift, 2)]
+
+
+def _ci_row(r: TrialRecord) -> Union[list, str]:
+    check = check_ci_consistency(r)
+    if not check.evaluable:
+        return check.reason or "not evaluable"
+    if not check.adjusted_evaluable:
+        return "adjusted interval not computable"
+    jt = check.candidates["JT"]
+    matched_unadjusted = sorted(check.matched_intervals & set(UNADJUSTED_CIS))
+    method = matched_unadjusted[0] if matched_unadjusted else "CP"
+    cov_rep = cov_jt = None
+    if r.ci_level == 0.95:
+        design = check._state.design
+        p_eval = estimate_umvue(check._state)
+        if 0.0 < p_eval < 1.0:
+            cov_rep = round(coverage(method, p_eval, design, level=r.ci_level), 6)
+            cov_jt = round(coverage("JT", p_eval, design, level=r.ci_level), 6)
+    return [
+        r.id,
+        round(r.ci_upp - r.ci_low, 6),
+        round(jt.length, 6),
+        method,
+        cov_rep,
+        cov_jt,
     ]
-    rows = []
-    skips: dict[str, int] = {}
-    for r in records:
-        check = check_ci_consistency(r)
-        if not check.evaluable:
-            _skip(skips, check.reason or "not evaluable")
-            continue
-        if not check.adjusted_evaluable:
-            _skip(skips, "adjusted interval not computable")
-            continue
-        jt = check.candidates["JT"]
-        matched_unadjusted = sorted(check.matched_intervals & set(UNADJUSTED_CIS))
-        method = matched_unadjusted[0] if matched_unadjusted else "CP"
-        cov_rep = cov_jt = None
-        if r.ci_level == 0.95:
-            design = _analysis_design(r)
-            state = _analysis_state(r)
-            p_eval = estimate_umvue(state)
-            if 0.0 < p_eval < 1.0:
-                cov_rep = round(
-                    coverage(method, p_eval, design, level=r.ci_level), 6
-                )
-                cov_jt = round(coverage("JT", p_eval, design, level=r.ci_level), 6)
-        rows.append(
-            [
-                r.id,
-                round(r.ci_upp - r.ci_low, 6),
-                round(jt.length, 6),
-                method,
-                cov_rep,
-                cov_jt,
-            ]
-        )
-    return {"header": header, "rows": rows, "skipped": skips}
 
 
-def _sample_size_dataset(records: list[TrialRecord]) -> dict:
-    header = ["id", "planned_n", "analysed_n", "stage"]
-    rows = []
-    skips: dict[str, int] = {}
-    for r in records:
-        if r.n is None or r.n_analysis is None:
-            _skip(skips, "planned or analysed sample size absent")
-            continue
-        rows.append([r.id, r.n, r.n_analysis, str(infer_termination_stage(r))])
-    return {"header": header, "rows": rows, "skipped": skips}
+def _sample_size_row(r: TrialRecord) -> Union[list, str]:
+    if r.n is None or r.n_analysis is None:
+        return "planned or analysed sample size absent"
+    return [r.id, r.n, r.n_analysis, str(infer_termination_stage(r))]
 
 
-def _error_rate_dataset(records: list[TrialRecord]) -> dict:
-    header = [
-        "id", "n_an",
-        "retained_alpha", "retained_power", "ek_alpha", "ek_power",
+def _error_rate_row(r: TrialRecord) -> Union[list, str]:
+    if infer_termination_stage(r) != 2:
+        return "termination stage not 2"
+    if r.alpha != 0.05 or r.beta != 0.2:
+        return "targets not (alpha=0.05, power=0.8)"
+    if None in (r.p0, r.p1, r.a1, r.a, r.n1, r.n, r.n_analysis):
+        return "design or analysis data absent"
+    if r.n_analysis <= r.n1:
+        return "no second-stage data"
+    try:
+        design = TwoStageDesign(
+            a1=r.a1, a=r.a, n1=r.n1, n=r.n,
+            targets=DesignTargets(p0=r.p0, p1=r.p1, alpha=r.alpha, beta=r.beta),
+        ).require_valid()
+    except ValueError:
+        return "invalid design"
+    return [
+        r.id,
+        r.n_analysis,
+        round(reject_prob_retained(r.p0, design, r.n_analysis), 6),
+        round(reject_prob_retained(r.p1, design, r.n_analysis), 6),
+        round(reject_prob_ek(r.p0, design, r.n_analysis), 6),
+        round(reject_prob_ek(r.p1, design, r.n_analysis), 6),
     ]
-    rows = []
-    skips: dict[str, int] = {}
-    for r in records:
-        if infer_termination_stage(r) != 2:
-            _skip(skips, "termination stage not 2")
-            continue
-        if r.alpha != 0.05 or r.beta != 0.2:
-            _skip(skips, "targets not (alpha=0.05, power=0.8)")
-            continue
-        if None in (r.p0, r.p1, r.a1, r.a, r.n1, r.n, r.n_analysis):
-            _skip(skips, "design or analysis data absent")
-            continue
-        if r.n_analysis <= r.n1:
-            _skip(skips, "no second-stage data")
-            continue
-        try:
-            design = TwoStageDesign(
-                a1=r.a1, a=r.a, n1=r.n1, n=r.n,
-                targets=DesignTargets(p0=r.p0, p1=r.p1, alpha=r.alpha, beta=r.beta),
-            ).require_valid()
-        except ValueError:
-            _skip(skips, "invalid design")
-            continue
-        rows.append(
-            [
-                r.id,
-                r.n_analysis,
-                round(reject_prob_retained(r.p0, design, r.n_analysis), 6),
-                round(reject_prob_retained(r.p1, design, r.n_analysis), 6),
-                round(reject_prob_ek(r.p0, design, r.n_analysis), 6),
-                round(reject_prob_ek(r.p1, design, r.n_analysis), 6),
-            ]
-        )
-    return {"header": header, "rows": rows, "skipped": skips}
+
+
+# name: (header, row or skip reason of one record)
+_FIGURE_DATASETS = {
+    "estimates_naive_vs_umvue": (["id", "naive", "umvue", "shift_pct_of_effect"], _estimates_row),
+    "ci_length_and_coverage": (
+        [
+            "id", "reported_length", "jt_length", "matched_method",
+            "coverage_reported_method", "coverage_jt",
+        ],
+        _ci_row,
+    ),
+    "planned_vs_analysed_n": (["id", "planned_n", "analysed_n", "stage"], _sample_size_row),
+    "deviation_error_rates": (
+        ["id", "n_an", "retained_alpha", "retained_power", "ek_alpha", "ek_power"],
+        _error_rate_row,
+    ),
+}
 
 
 def write_figure_data(datasets: dict, out_dir) -> list[str]:

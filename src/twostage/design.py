@@ -18,7 +18,7 @@ from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Iterator, Literal, NamedTuple, Optional
 
-from .binomial import MAX_SAMPLE_SIZE, binom_cdf, binom_pmf, binom_pmf_row
+from .binomial import MAX_SAMPLE_SIZE, binom_cdf, binom_pmf_row
 
 
 class InfeasibleDesignError(ValueError):
@@ -229,19 +229,25 @@ def terminal_distribution(
     design: TwoStageDesign,
     n_final: Optional[int] = None,
 ) -> float:
-    """Probability of ending the given stage with exactly s total successes."""
-    design.require_valid()
-    nf = design.n if n_final is None else n_final
+    """Probability of ending the given stage with exactly s total successes.
+
+    This is ``stop[s]`` (stage 1) or ``cont[s]`` (stage 2) of terminal_pmf,
+    and 0.0 where the trial cannot end that way: s < 0, a stage-1 s above
+    a1 (the trial continues) or a stage-2 s at or below a1.
+    """
+    d = design.require_valid()
     if stage == 1:
-        if s > design.n1:
-            raise ValueError(f"stage-1 successes {s} exceed n1={design.n1}")
-        return binom_pmf(s, design.n1, p)
-    if stage != 2:
+        if s > d.n1:
+            raise ValueError(f"stage-1 successes {s} exceed n1={d.n1}")
+        row = terminal_pmf(d, p)[0]
+    elif stage == 2:
+        nf = d.n if n_final is None else n_final
+        row = terminal_pmf(d, p, nf)[1]
+        if s > nf:
+            raise ValueError(f"successes {s} exceed final sample size {nf}")
+    else:
         raise ValueError(f"stage must be 1 or 2, got {stage}")
-    _, cont = terminal_pmf(design, p, nf)
-    if s > nf:
-        raise ValueError(f"successes {s} exceed final sample size {nf}")
-    return cont[s] if s >= 0 else 0.0
+    return row[s] if 0 <= s < len(row) else 0.0
 
 
 def pet(p: float, design: TwoStageDesign) -> float:

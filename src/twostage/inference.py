@@ -303,6 +303,24 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
     return min(1.0, max(0.0, x))
 
 
+def _outcome_stage(s: int, m: int, d: TwoStageDesign, nf: int) -> int:
+    """The stage at which (s, m) is a terminal outcome of d with final
+    sample size nf; ValueError if it is not one."""
+    if m == d.n1:
+        if not 0 <= s <= d.a1:
+            raise ValueError(
+                f"(s={s}, m={m}) is not a stage-1 terminal outcome (need s <= a1={d.a1})"
+            )
+        return 1
+    if m == nf:
+        if not d.a1 < s <= nf:
+            raise ValueError(
+                f"(s={s}, m={m}) is not a stage-2 terminal outcome of the design"
+            )
+        return 2
+    raise ValueError(f"analysis sample size {m} is neither n1={d.n1} nor the final size {nf}")
+
+
 def q_value(
     s: int,
     m: int,
@@ -317,20 +335,10 @@ def q_value(
     """
     d = design.require_valid()
     nf = d.n if n_final is None else n_final
-    if m == d.n1:
-        if not 0 <= s <= d.a1:
-            raise ValueError(
-                f"(s={s}, m={m}) is not a stage-1 terminal outcome (need s <= a1={d.a1})"
-            )
+    if _outcome_stage(s, m, d, nf) == 1:
         return binom_upper_tail(s, d.n1, p)
-    if m == nf:
-        if not d.a1 < s <= nf:
-            raise ValueError(
-                f"(s={s}, m={m}) is not a stage-2 terminal outcome of the design"
-            )
-        _, cont = terminal_pmf(d, p, nf)
-        return continuation_tail(cont, s)
-    raise ValueError(f"analysis sample size {m} is neither n1={d.n1} nor the final size {nf}")
+    _, cont = terminal_pmf(d, p, nf)
+    return continuation_tail(cont, s)
 
 
 def q_lower_value(
@@ -347,20 +355,10 @@ def q_lower_value(
     """
     d = design.require_valid()
     nf = d.n if n_final is None else n_final
-    if m == d.n1:
-        if not 0 <= s <= d.a1:
-            raise ValueError(
-                f"(s={s}, m={m}) is not a stage-1 terminal outcome (need s <= a1={d.a1})"
-            )
+    if _outcome_stage(s, m, d, nf) == 1:
         return binom_cdf(s, d.n1, p)
-    if m == nf:
-        if not d.a1 < s <= nf:
-            raise ValueError(
-                f"(s={s}, m={m}) is not a stage-2 terminal outcome of the design"
-            )
-        stop, cont = terminal_pmf(d, p, nf)
-        return min(1.0, math.fsum(stop + cont[: s + 1]))
-    raise ValueError(f"analysis sample size {m} is neither n1={d.n1} nor the final size {nf}")
+    stop, cont = terminal_pmf(d, p, nf)
+    return min(1.0, math.fsum(stop + cont[: s + 1]))
 
 
 def estimate_median_unbiased(state: AnalysisState) -> Estimate:

@@ -1,5 +1,6 @@
 """Record ingestion, consistency checking, and summary aggregation."""
 
+import json
 import os
 
 import pytest
@@ -17,7 +18,8 @@ from twostage.audit import (
     write_figure_data,
 )
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "audit_golden.csv")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN = os.path.join(DATA, "audit_golden.csv")
 
 
 def load_golden() -> ParseResult:
@@ -215,6 +217,35 @@ def test_summary_json_deterministic():
     second = report_to_json(audit_summary(load_golden().records))
     assert first == second
     assert first.encode() == second.encode()
+
+
+def load_pinned(name: str):
+    with open(os.path.join(DATA, f"{name}.csv"), newline="") as handle:
+        records = parse_records(handle).records
+    pinned = {}
+    for part in ("report", "figures"):
+        with open(os.path.join(DATA, f"{name}_{part}.json"), "rb") as handle:
+            pinned[part] = handle.read()
+    return records, pinned
+
+
+@pytest.mark.parametrize("name", ["audit_predicates", "audit_golden"])
+def test_report_and_figure_data_are_pinned_byte_for_byte(name):
+    # the pinned files were written by the per-key audit_summary that the
+    # predicate tables replaced; figure data keeps its skip-reason order
+    records, pinned = load_pinned(name)
+    assert report_to_json(audit_summary(records)).encode() == pinned["report"]
+    figures = json.dumps(export_figure_data(records), indent=1) + "\n"
+    assert figures.encode() == pinned["figures"]
+
+
+def test_predicate_records_turn_every_reporting_predicate_on_and_off():
+    records, _ = load_pinned("audit_predicates")
+    summary = audit_summary(records)
+    tallies = [summary["design_reporting"], summary["inference_reporting"]["all"]]
+    for key, stat in ((k, v) for tally in tallies for k, v in tally.items()):
+        assert 0 < stat["count"] < stat["denominator"], key
+    assert all(summary["stage_counts"][label]["count"] for label in ("1", "2", "unclear"))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from oracles import (
     reject_prob_oracle,
     terminal_probs,
 )
-from twostage.binomial import MAX_SAMPLE_SIZE, binom_pmf_row
+from twostage.binomial import MAX_SAMPLE_SIZE, binom_pmf, binom_pmf_row
 from twostage.design import (
     DesignTargets,
     InfeasibleDesignError,
@@ -176,6 +176,44 @@ def test_terminal_distribution_sums_to_one(n1, extra, a1, p):
         for o in terminal_outcomes(design)
     )
     assert total == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n_final", [None, 26, 33])
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.77, 1.0])
+def test_terminal_distribution_over_every_stage_and_s_sums_to_one(n_final, p):
+    # every (s, stage) pair, not only the terminal outcomes: a stage-1 s
+    # above a1 continues, so it must carry no probability of stopping
+    nf = DESIGN.n if n_final is None else n_final
+    total = math.fsum(
+        terminal_distribution(s, stage, p, DESIGN, n_final)
+        for stage, top in ((1, DESIGN.n1), (2, nf))
+        for s in range(-1, top + 1)
+    )
+    assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_terminal_distribution_indexes_the_kernel_rows():
+    stop, cont = terminal_pmf(DESIGN, 0.3, 33)
+    for s in range(-2, DESIGN.n1 + 1):
+        want = stop[s] if 0 <= s <= DESIGN.a1 else 0.0
+        assert terminal_distribution(s, 1, 0.3, DESIGN, 33) == want
+    for s in range(-2, 34):
+        assert terminal_distribution(s, 2, 0.3, DESIGN, 33) == (cont[s] if s >= 0 else 0.0)
+    # the stage-1 terms are the scalar kernel's, bit for bit
+    for p in (0.01, 0.1, 0.3, 0.5, 0.99):
+        for s in range(DESIGN.a1 + 1):
+            assert terminal_distribution(s, 1, p, DESIGN) == binom_pmf(s, DESIGN.n1, p)
+
+
+def test_terminal_distribution_rejects_impossible_arguments():
+    with pytest.raises(ValueError, match="exceed n1"):
+        terminal_distribution(11, 1, 0.3, DESIGN)
+    with pytest.raises(ValueError, match="final sample size"):
+        terminal_distribution(30, 2, 0.3, DESIGN)
+    with pytest.raises(ValueError, match="final sample size"):
+        terminal_distribution(27, 2, 0.3, DESIGN, 26)
+    with pytest.raises(ValueError, match="stage must be 1 or 2"):
+        terminal_distribution(3, 3, 0.3, DESIGN)
 
 
 def test_operating_characteristics_known_design():

@@ -258,6 +258,22 @@ def test_q_value_matches_oracle():
                 )
 
 
+@pytest.mark.parametrize(
+    "s, m, message",
+    [
+        (2, 10, "not a stage-1 terminal outcome"),
+        (-1, 10, "not a stage-1 terminal outcome"),
+        (1, 29, "not a stage-2 terminal outcome"),
+        (30, 29, "not a stage-2 terminal outcome"),
+        (5, 20, "neither n1=10 nor the final size 29"),
+    ],
+)
+def test_q_functions_reject_the_same_non_terminal_outcomes(s, m, message):
+    for q in (q_value, q_lower_value):
+        with pytest.raises(ValueError, match=message):
+            q(s, m, 0.3, DESIGN)
+
+
 def test_p_value_known():
     assert p_value(state(6, 29)) == pytest.approx(0.047086306643891324, abs=1e-12)
 
