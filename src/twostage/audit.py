@@ -528,10 +528,10 @@ def _estimates_row(r: TrialRecord) -> Union[list, str]:
     state = _analysis_state(r)
     if state is None:
         return "design or analysis data absent"
-    naive = estimate_naive(r.s_analysis, r.n_analysis)
-    umvue = estimate_umvue(state)
     if r.p0 is None or r.p1 is None or r.p1 <= r.p0:
         return "p0/p1 absent"
+    naive = estimate_naive(r.s_analysis, r.n_analysis)
+    umvue = estimate_umvue(state)
     shift = 100.0 * (naive - umvue) / (r.p1 - r.p0)
     return [r.id, round(naive, 6), round(umvue, 6), round(shift, 2)]
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from typing import Optional
@@ -28,6 +29,7 @@ from .audit import (
 from .design import (
     DesignTargets,
     InfeasibleDesignError,
+    TerminalOutcome,
     TwoStageDesign,
     admissible_set,
     operating_characteristics,
@@ -46,6 +48,7 @@ from .inference import (
     ConfidenceInterval,
     coverage,
     estimate_all,
+    interval_for_outcome,
     p_value,
 )
 
@@ -218,9 +221,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _ci_for(state: AnalysisState, method: str, level: float) -> ConfidenceInterval:
-    from .design import TerminalOutcome
-    from .inference import interval_for_outcome
-
     outcome = TerminalOutcome(s=state.s, stage=state.stage, m=state.m)
     try:
         return interval_for_outcome(method, outcome, state.design, level)
@@ -475,8 +475,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import, and reused after it:
+    # parse_args keeps no state between calls, and building the tree costs
+    # more than most commands
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if not getattr(args, "handler", None):
         parser.print_usage(sys.stderr)

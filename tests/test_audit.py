@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from twostage import audit
 from twostage.audit import (
     ParseResult,
     TrialRecord,
@@ -280,6 +281,19 @@ def test_figure_datasets_on_golden():
     assert len(rates["rows"]) == 10
     for _, n_an, ret_a, ret_p, ek_a, ek_p in rates["rows"]:
         assert ek_a <= 0.05 + 1e-9
+
+
+def test_p0_p1_absent_is_skipped_before_any_estimate(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("estimate computed for a record without p0/p1")
+
+    monkeypatch.setattr(audit, "estimate_naive", never)
+    monkeypatch.setattr(audit, "estimate_umvue", never)
+    records, _ = load_pinned("audit_predicates")
+    absent = [r for r in records if r.id in ("P06", "P16")]
+    assert len(absent) == 2
+    for r in absent:
+        assert audit._estimates_row(r) == "p0/p1 absent"
 
 
 def test_figure_csv_files_written(tmp_path):

@@ -7,13 +7,17 @@ import sys
 
 import pytest
 
+from twostage import cli
 from twostage.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "audit_golden.csv")
 
 
 def run(capsys, *argv):
-    status = main(list(argv))
+    try:
+        status = main(list(argv))
+    except SystemExit as exc:
+        status = exc.code
     captured = capsys.readouterr()
     return status, captured.out, captured.err
 
@@ -309,11 +313,61 @@ def test_csv_format(capsys):
     assert any(line.startswith("low,") for line in lines)
 
 
-def test_cli_import_does_not_load_numpy():
+TARGETS = ["--p0", "0.1", "--p1", "0.3", "--alpha", "0.05", "--beta", "0.2"]
+OUTCOME = ["--design", "1/10,5/29", "--s", "6", "--m", "29"]
+REUSE_ARGV = [
+    ["design", *TARGETS, "--nmax", "35", "--format", "csv"],
+    ["oc", "--design", "1/10,5/29", *TARGETS, "--format", "json"],
+    ["oc", "--wat"],
+    ["estimate", *OUTCOME, "--methods", "naive,umvue"],
+    [],
+    ["ci", *OUTCOME, "--method", "cp", "--format", "json"],
+    ["--help"],
+    ["pvalue", *OUTCOME, "--null", "0.1", "--format", "csv"],
+    ["estimate", "--design", "1/10,5/29", "--s", "1", "--m", "29"],
+    ["coverage", "--design", "1/10,5/29", "--p", "0.2"],
+    ["deviate", "--design", "1/10,5/29", *TARGETS, "--n-an", "26", "--s1", "3", "--s", "6"],
+    ["audit", "--input", GOLDEN],
+]
+
+
+def test_parser_is_built_once_and_reuse_changes_no_output(capsys, monkeypatch):
+    build_parser, builds = cli.build_parser, []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        first = [run(capsys, *argv) for argv in REUSE_ARGV]
+        again = [run(capsys, *argv) for argv in REUSE_ARGV]
+    finally:
+        cli._parser.cache_clear()
+    assert again == first
+    assert len(builds) == 1
+    statuses = [status for status, _, _ in first]
+    assert statuses == [0, 0, 2, 0, 2, 0, 0, 0, 2, 0, 0, 0]
+    assert first[2][2].startswith("USAGE:")
+    assert first[8][2].startswith("INVALID_INPUT:")
+    assert "usage: twostage" in first[6][1]
+
+
+def _fresh_interpreter(code: str) -> str:
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, twostage.cli; print('numpy' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_cli_import_does_not_load_numpy():
+    code = "import sys, twostage.cli; print('numpy' in sys.modules)"
+    assert _fresh_interpreter(code) == "False"
+
+
+def test_cli_import_builds_no_parser():
+    code = "import twostage.cli as c; print(c._parser.cache_info().currsize)"
+    assert _fresh_interpreter(code) == "0"
