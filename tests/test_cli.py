@@ -14,10 +14,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data", "audit_golden.csv")
 
 
 def run(capsys, *argv):
-    try:
-        status = main(list(argv))
-    except SystemExit as exc:
-        status = exc.code
+    status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
 
@@ -338,11 +335,19 @@ def test_parser_is_built_once_and_reuse_changes_no_output(capsys, monkeypatch):
         builds.append(1)
         return build_parser()
 
+    def run_or_exit(argv):
+        # a usage error and --help leave main through SystemExit; keep its code
+        try:
+            return run(capsys, *argv)
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            return exc.code, captured.out, captured.err
+
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
     cli._parser.cache_clear()
     try:
-        first = [run(capsys, *argv) for argv in REUSE_ARGV]
-        again = [run(capsys, *argv) for argv in REUSE_ARGV]
+        first = [run_or_exit(argv) for argv in REUSE_ARGV]
+        again = [run_or_exit(argv) for argv in REUSE_ARGV]
     finally:
         cli._parser.cache_clear()
     assert again == first
