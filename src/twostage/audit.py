@@ -150,9 +150,10 @@ def parse_records(
     """Read trial records from delimited text (comma default, tab accepted).
 
     Proportion columns given on a 0-100 scale are divided by 100 and
-    flagged. Malformed cells, and an n or n_analysis above
-    MAX_SAMPLE_SIZE, produce a row-level error and parsing continues;
-    unknown columns produce a warning.
+    flagged. Malformed cells, an n or n_analysis above MAX_SAMPLE_SIZE,
+    an n_analysis below 1 and an s_analysis outside 0..n_analysis produce
+    a row-level error and parsing continues; unknown columns produce a
+    warning.
     """
     if isinstance(source, str):
         stream: TextIO = io.StringIO(source)
@@ -214,6 +215,11 @@ def parse_records(
             size = getattr(record, column)
             if size is not None and size > MAX_SAMPLE_SIZE:
                 problems.append(f"column {column!r}: {size} exceeds the cap of {MAX_SAMPLE_SIZE}")
+        s_an, n_an = record.s_analysis, record.n_analysis
+        if n_an is not None and n_an < 1:
+            problems.append(f"column 'n_analysis': {n_an} is below 1")
+        elif None not in (s_an, n_an) and not 0 <= s_an <= n_an:
+            problems.append(f"column 's_analysis': {s_an} is outside 0..{n_an}")
         if problems:
             errors.append(RowError(row=row_no, record_id=record.id, message="; ".join(problems)))
             continue
@@ -581,7 +587,7 @@ def _error_rate_row(r: TrialRecord) -> Union[list, str]:
         design = TwoStageDesign(
             a1=r.a1, a=r.a, n1=r.n1, n=r.n,
             targets=DesignTargets(p0=r.p0, p1=r.p1, alpha=r.alpha, beta=r.beta),
-        ).require_valid()
+        )
     except ValueError:
         return "invalid design"
     return [

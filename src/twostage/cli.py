@@ -4,10 +4,15 @@ Subcommands cover design search, operating characteristics, point
 estimation, confidence intervals, p-values, exact coverage, analyses at a
 deviated final sample size, and the batch audit pipeline. Data goes to
 stdout, diagnostics to stderr; every error path prints a single line of
-the form ``CODE: message``.
+the form ``CODE: message``. Handlers report bad input by raising
+ValueError, and ``main`` alone turns it into that line.
 
-Exit status: 0 success, 2 invalid input, 3 infeasible search, 4 audit
-completed with row-level errors.
+Exit status:
+  0  success;
+  2  invalid input: ``USAGE`` from argparse, or ``INVALID_INPUT`` for a
+     ValueError raised while handling the command;
+  3  ``INFEASIBLE``: no design within ``--nmax`` meets the targets;
+  4  the audit finished, but some rows were reported as ``ROW_ERROR``.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from .deviation import (
 from .inference import (
     CI_METHODS,
     AnalysisState,
-    ConfidenceInterval,
     coverage,
     estimate_all,
     interval_for_outcome,
@@ -56,17 +60,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_PARTIAL_AUDIT = 4
-
-
-class CliError(Exception):
-    def __init__(self, code: str, message: str, status: int = EXIT_INVALID):
-        super().__init__(message)
-        self.code = code
-        self.status = status
-
-
-def _fail(message: str, code: str = "INVALID_INPUT", status: int = EXIT_INVALID) -> CliError:
-    return CliError(code, message, status)
 
 
 def _emit(payload: dict, fmt: str, table_rows: list[tuple[str, object]]) -> None:
@@ -94,25 +87,15 @@ def _format_float(x: object) -> object:
     return x
 
 
-def _parse_design(text: str, targets: Optional[DesignTargets] = None) -> TwoStageDesign:
-    try:
-        return TwoStageDesign.from_compact(text, targets=targets).require_valid()
-    except ValueError as exc:
-        raise _fail(str(exc))
-
-
 def _targets_from_args(args, required: bool = True) -> Optional[DesignTargets]:
     values = (args.p0, args.p1, args.alpha, args.beta)
     if all(v is None for v in values):
         if required:
-            raise _fail("targets required: pass --p0 --p1 --alpha --beta")
+            raise ValueError("targets required: pass --p0 --p1 --alpha --beta")
         return None
     if any(v is None for v in values):
-        raise _fail("targets are all-or-nothing: pass --p0 --p1 --alpha --beta together")
-    try:
-        return DesignTargets(p0=args.p0, p1=args.p1, alpha=args.alpha, beta=args.beta)
-    except ValueError as exc:
-        raise _fail(str(exc))
+        raise ValueError("targets are all-or-nothing: pass --p0 --p1 --alpha --beta together")
+    return DesignTargets(p0=args.p0, p1=args.p1, alpha=args.alpha, beta=args.beta)
 
 
 def _add_target_flags(parser: argparse.ArgumentParser) -> None:
@@ -137,12 +120,9 @@ def _add_state_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _state_from_args(args, targets: Optional[DesignTargets] = None) -> AnalysisState:
-    design = _parse_design(args.design, targets=targets)
+    design = TwoStageDesign.from_compact(args.design, targets=targets)
     stage = 1 if args.m == design.n1 else 2
-    try:
-        return AnalysisState(design=design, s=args.s, m=args.m, stage=stage, s1=args.s1)
-    except ValueError as exc:
-        raise _fail(str(exc))
+    return AnalysisState(design=design, s=args.s, m=args.m, stage=stage, s1=args.s1)
 
 
 def _oc_rows(design: TwoStageDesign, targets: DesignTargets) -> tuple[dict, list]:
@@ -156,34 +136,31 @@ def _oc_rows(design: TwoStageDesign, targets: DesignTargets) -> tuple[dict, list
 def _cmd_design(args) -> int:
     targets = _targets_from_args(args)
     criterion = args.criterion
-    try:
-        if criterion == "admissible":
-            entries = admissible_set(targets, n_max=args.nmax)
-            designs, rows = [], []
-            for e in entries:
-                oc = operating_characteristics(e.design, targets)
-                designs.append(
-                    {
-                        "w_low": e.w_low,
-                        "w_high": e.w_high,
-                        "design": e.design.to_json_dict(),
-                        "oc": oc.to_json_dict(),
-                    }
+    if criterion == "admissible":
+        entries = admissible_set(targets, n_max=args.nmax)
+        designs, rows = [], []
+        for e in entries:
+            oc = operating_characteristics(e.design, targets)
+            designs.append(
+                {
+                    "w_low": e.w_low,
+                    "w_high": e.w_high,
+                    "design": e.design.to_json_dict(),
+                    "oc": oc.to_json_dict(),
+                }
+            )
+            rows.append(
+                (
+                    e.design.compact(),
+                    f"w in [{e.w_low:.4f}, {e.w_high:.4f}]  "
+                    f"EN(p0)={oc.en_p0:.4f}  alpha={oc.alpha_attained:.4f}  "
+                    f"power={oc.power_attained:.4f}",
                 )
-                rows.append(
-                    (
-                        e.design.compact(),
-                        f"w in [{e.w_low:.4f}, {e.w_high:.4f}]  "
-                        f"EN(p0)={oc.en_p0:.4f}  alpha={oc.alpha_attained:.4f}  "
-                        f"power={oc.power_attained:.4f}",
-                    )
-                )
-            payload = {"criterion": "admissible", "designs": designs}
-            _emit(payload, args.format, rows)
-            return EXIT_OK
-        design = search_designs(targets, criterion=criterion, n_max=args.nmax)
-    except InfeasibleDesignError as exc:
-        raise CliError("INFEASIBLE", str(exc), EXIT_INFEASIBLE)
+            )
+        payload = {"criterion": "admissible", "designs": designs}
+        _emit(payload, args.format, rows)
+        return EXIT_OK
+    design = search_designs(targets, criterion=criterion, n_max=args.nmax)
     payload, rows = _oc_rows(design, targets)
     payload["criterion"] = criterion
     _emit(payload, args.format, rows)
@@ -192,7 +169,7 @@ def _cmd_design(args) -> int:
 
 def _cmd_oc(args) -> int:
     targets = _targets_from_args(args)
-    design = _parse_design(args.design, targets=targets)
+    design = TwoStageDesign.from_compact(args.design, targets=targets)
     payload, rows = _oc_rows(design, targets)
     _emit(payload, args.format, rows)
     return EXIT_OK
@@ -209,7 +186,7 @@ def _cmd_estimate(args) -> int:
     available = estimates.to_json_dict()
     unknown = [m for m in wanted if m not in available]
     if unknown:
-        raise _fail(
+        raise ValueError(
             f"unknown estimator(s) {', '.join(unknown)}; "
             f"choose from {', '.join(available)}"
         )
@@ -220,17 +197,10 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _ci_for(state: AnalysisState, method: str, level: float) -> ConfidenceInterval:
-    outcome = TerminalOutcome(s=state.s, stage=state.stage, m=state.m)
-    try:
-        return interval_for_outcome(method, outcome, state.design, level)
-    except ValueError as exc:
-        raise _fail(str(exc))
-
-
 def _cmd_ci(args) -> int:
     state = _state_from_args(args)
-    ci = _ci_for(state, args.method, args.level)
+    outcome = TerminalOutcome(s=state.s, stage=state.stage, m=state.m)
+    ci = interval_for_outcome(args.method, outcome, state.design, args.level)
     payload = {
         "s": args.s,
         "m": args.m,
@@ -253,12 +223,8 @@ def _cmd_pvalue(args) -> int:
     targets = _targets_from_args(args, required=False)
     state = _state_from_args(args, targets=targets)
     if targets is None and state.design.targets is None and args.null is None:
-        raise _fail("null probability required: pass --null or the design targets")
-    p0 = args.null
-    try:
-        value = p_value(state, p0=p0)
-    except ValueError as exc:
-        raise _fail(str(exc))
+        raise ValueError("null probability required: pass --null or the design targets")
+    value = p_value(state, p0=args.null)
     payload = {"s": args.s, "m": args.m, "p_value": value}
     rows = [("p_value", _format_float(value))]
     _emit(payload, args.format, rows)
@@ -269,13 +235,13 @@ def _parse_p_grid(spec: str) -> list[float]:
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
-            raise _fail('p-grid must be "start:stop:step" or a comma list')
+            raise ValueError('p-grid must be "start:stop:step" or a comma list')
         try:
             start, stop, step = (float(x) for x in parts)
         except ValueError:
-            raise _fail(f"malformed p-grid {spec!r}")
+            raise ValueError(f"malformed p-grid {spec!r}")
         if step <= 0 or stop < start:
-            raise _fail("p-grid needs step > 0 and stop >= start")
+            raise ValueError("p-grid needs step > 0 and stop >= start")
         values = []
         k = 0
         while True:
@@ -288,21 +254,18 @@ def _parse_p_grid(spec: str) -> list[float]:
     try:
         return [float(x) for x in spec.split(",") if x.strip()]
     except ValueError:
-        raise _fail(f"malformed p-grid {spec!r}")
+        raise ValueError(f"malformed p-grid {spec!r}")
 
 
 def _cmd_coverage(args) -> int:
-    design = _parse_design(args.design)
+    design = TwoStageDesign.from_compact(args.design)
     if (args.p is None) == (args.p_grid is None):
-        raise _fail("pass exactly one of --p or --p-grid")
+        raise ValueError("pass exactly one of --p or --p-grid")
     grid = [args.p] if args.p is not None else _parse_p_grid(args.p_grid)
     for p in grid:
         if not 0.0 <= p <= 1.0:
-            raise _fail(f"coverage probability {p} outside [0, 1]")
-    try:
-        values = [(p, coverage(args.method, p, design, level=args.level)) for p in grid]
-    except ValueError as exc:
-        raise _fail(str(exc))
+            raise ValueError(f"coverage probability {p} outside [0, 1]")
+    values = [(p, coverage(args.method, p, design, level=args.level)) for p in grid]
     payload = {
         "design": design.to_json_dict(),
         "method": args.method,
@@ -316,13 +279,8 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_deviate(args) -> int:
     targets = _targets_from_args(args)
-    design = _parse_design(args.design, targets=targets)
-    try:
-        analysis = DeviatedAnalysis(
-            design=design, n_an=args.n_an, s1=args.s1, s_an=args.s
-        )
-    except ValueError as exc:
-        raise _fail(str(exc))
+    design = TwoStageDesign.from_compact(args.design, targets=targets)
+    analysis = DeviatedAnalysis(design=design, n_an=args.n_an, s1=args.s1, s_an=args.s)
     if args.rule == "ek":
         reject = ek_reject(analysis)
         err = conditional_error(args.s1, design)
@@ -360,7 +318,7 @@ def _cmd_audit(args) -> int:
         with open(args.input, newline="") as handle:
             parsed = parse_records(handle)
     except OSError as exc:
-        raise _fail(f"cannot read {args.input}: {exc.strerror}")
+        raise ValueError(f"cannot read {args.input}: {exc.strerror}")
     for warning in parsed.warnings:
         sys.stderr.write(f"WARNING: {warning}\n")
     for error in parsed.errors:
@@ -492,9 +450,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INVALID
     try:
         return args.handler(args)
-    except CliError as exc:
-        sys.stderr.write(f"{exc.code}: {exc}\n")
-        return exc.status
+    except InfeasibleDesignError as exc:
+        sys.stderr.write(f"INFEASIBLE: {exc}\n")
+        return EXIT_INFEASIBLE
     except ValueError as exc:
         sys.stderr.write(f"INVALID_INPUT: {exc}\n")
         return EXIT_INVALID

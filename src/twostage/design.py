@@ -49,6 +49,13 @@ class DesignTargets:
 
 @dataclass(frozen=True)
 class TwoStageDesign:
+    """Boundaries with 0 <= a1 < n1 < n and a1 <= a < n.
+
+    Construction raises ValueError for any other boundaries, so every
+    instance is valid, whether built directly, parsed, or derived with
+    dataclasses.replace, with_targets or with_final_n.
+    """
+
     a1: int
     a: int
     n1: int
@@ -59,25 +66,20 @@ class TwoStageDesign:
     def n2(self) -> int:
         return self.n - self.n1
 
-    def violations(self) -> list[str]:
-        out = []
+    def __post_init__(self) -> None:
+        problems = []
         if self.a1 < 0:
-            out.append("a1 must be >= 0")
+            problems.append("a1 must be >= 0")
         if not self.a1 < self.n1:
-            out.append("a1 must be < n1")
+            problems.append("a1 must be < n1")
         if not self.n1 < self.n:
-            out.append("n1 must be < n")
+            problems.append("n1 must be < n")
         if not self.a1 <= self.a:
-            out.append("a must be >= a1")
+            problems.append("a must be >= a1")
         if not self.a < self.n:
-            out.append("a must be < n")
-        return out
-
-    def require_valid(self) -> "TwoStageDesign":
-        problems = self.violations()
+            problems.append("a must be < n")
         if problems:
             raise ValueError(f"invalid design {self.compact()}: " + "; ".join(problems))
-        return self
 
     def compact(self) -> str:
         return f"{self.a1}/{self.n1}, {self.a}/{self.n}"
@@ -91,7 +93,7 @@ class TwoStageDesign:
         if match is None:
             raise ValueError(f"cannot parse design {text!r}; expected 'a1/n1, a/n'")
         a1, n1, a, n = (int(g) for g in match.groups())
-        return cls(a1=a1, a=a, n1=n1, n=n, targets=targets).require_valid()
+        return cls(a1=a1, a=a, n1=n1, n=n, targets=targets)
 
     def to_json_dict(self) -> dict:
         out = {"a1": self.a1, "a": self.a, "n1": self.n1, "n": self.n}
@@ -114,9 +116,7 @@ class TwoStageDesign:
             targets = DesignTargets(
                 p0=data["p0"], p1=data["p1"], alpha=data["alpha"], beta=data["beta"]
             )
-        return cls(
-            a1=data["a1"], a=data["a"], n1=data["n1"], n=data["n"], targets=targets
-        ).require_valid()
+        return cls(a1=data["a1"], a=data["a"], n1=data["n1"], n=data["n"], targets=targets)
 
     def with_targets(self, targets: DesignTargets) -> "TwoStageDesign":
         return dataclasses.replace(self, targets=targets)
@@ -176,21 +176,20 @@ def terminal_pmf(
     with the path count c_s of _log_counts, which does not depend on p.
     Raises ValueError for n_final above MAX_SAMPLE_SIZE.
     """
-    d = design.require_valid()
-    nf = d.n if n_final is None else n_final
-    if nf <= d.n1:
-        raise ValueError(f"final sample size {nf} must exceed n1={d.n1}")
+    nf = design.n if n_final is None else n_final
+    if nf <= design.n1:
+        raise ValueError(f"final sample size {nf} must exceed n1={design.n1}")
     if nf > MAX_SAMPLE_SIZE:
         raise ValueError(f"final sample size {nf} exceeds the cap of {MAX_SAMPLE_SIZE}")
-    stop = binom_pmf_row(d.n1, p, 0, d.a1 + 1)
+    stop = binom_pmf_row(design.n1, p, 0, design.a1 + 1)
     cont = [0.0] * (nf + 1)
     if p == 1.0:
         cont[nf] = 1.0
     elif p > 0.0:
         log_p, log_q, exp = math.log(p), math.log1p(-p), math.exp
-        cont[d.a1 + 1 :] = [
+        cont[design.a1 + 1 :] = [
             exp(log_c + s * log_p + (nf - s) * log_q)
-            for s, log_c in enumerate(_log_counts(d.a1, d.n1, nf), start=d.a1 + 1)
+            for s, log_c in enumerate(_log_counts(design.a1, design.n1, nf), start=design.a1 + 1)
         ]
     return stop, cont
 
@@ -235,14 +234,13 @@ def terminal_distribution(
     and 0.0 where the trial cannot end that way: s < 0, a stage-1 s above
     a1 (the trial continues) or a stage-2 s at or below a1.
     """
-    d = design.require_valid()
     if stage == 1:
-        if s > d.n1:
-            raise ValueError(f"stage-1 successes {s} exceed n1={d.n1}")
-        row = terminal_pmf(d, p)[0]
+        if s > design.n1:
+            raise ValueError(f"stage-1 successes {s} exceed n1={design.n1}")
+        row = terminal_pmf(design, p)[0]
     elif stage == 2:
-        nf = d.n if n_final is None else n_final
-        row = terminal_pmf(d, p, nf)[1]
+        nf = design.n if n_final is None else n_final
+        row = terminal_pmf(design, p, nf)[1]
         if s > nf:
             raise ValueError(f"successes {s} exceed final sample size {nf}")
     else:
@@ -252,12 +250,10 @@ def terminal_distribution(
 
 def pet(p: float, design: TwoStageDesign) -> float:
     """Probability of early termination for futility at stage 1."""
-    design.require_valid()
     return binom_cdf(design.a1, design.n1, p)
 
 
 def expected_sample_size(p: float, design: TwoStageDesign) -> float:
-    design.require_valid()
     return design.n1 + (1.0 - pet(p, design)) * (design.n - design.n1)
 
 
@@ -275,7 +271,6 @@ def reject_prob(p: float, design: TwoStageDesign) -> float:
 def operating_characteristics(
     design: TwoStageDesign, targets: Optional[DesignTargets] = None
 ) -> OperatingCharacteristics:
-    design.require_valid()
     if targets is None:
         targets = design.targets
     if targets is None:

@@ -28,14 +28,13 @@ class DeviatedAnalysis:
     n1_realized: Optional[int] = None
 
     def __post_init__(self) -> None:
-        d = self.design.require_valid()
-        if self.n1_realized is not None and self.n1_realized != d.n1:
+        if self.n1_realized is not None and self.n1_realized != self.design.n1:
             raise ValueError(
                 "deviation in the interim timing is not supported: the interim "
-                f"analysis must use the planned n1={d.n1}, got {self.n1_realized}"
+                f"analysis must use the planned n1={self.design.n1}, got {self.n1_realized}"
             )
-        _check_n_an(d, self.n_an)
-        if not d.a1 < self.s1 <= d.n1:
+        _check_n_an(self.design, self.n_an)
+        if not self.design.a1 < self.s1 <= self.design.n1:
             raise ValueError(
                 f"continuation requires a1 < s1 <= n1, got s1={self.s1}"
             )
@@ -65,16 +64,15 @@ def _p0_of(design: TwoStageDesign) -> float:
 def conditional_error(s: int, design: TwoStageDesign) -> float:
     """Null rejection probability the planned rule grants a second stage
     that starts from s stage-1 successes."""
-    d = design.require_valid()
-    p0 = _p0_of(d)
-    if not 0 <= s <= d.n1:
-        raise ValueError(f"stage-1 successes must satisfy 0 <= s <= n1={d.n1}, got {s}")
-    if s <= d.a1:
+    p0 = _p0_of(design)
+    if not 0 <= s <= design.n1:
+        raise ValueError(f"stage-1 successes must satisfy 0 <= s <= n1={design.n1}, got {s}")
+    if s <= design.a1:
         return 0.0
-    if s > d.a:
+    if s > design.a:
         return 1.0
     # 1 - B(a - s | n - n1, p0)
-    return binom_upper_tail(d.a - s + 1, d.n - d.n1, p0)
+    return binom_upper_tail(design.a - s + 1, design.n - design.n1, p0)
 
 
 def stage2_pvalue(s2: int, n2: int, p0: float) -> float:
@@ -96,27 +94,25 @@ def ek_reject(analysis: DeviatedAnalysis) -> bool:
 
 def reject_prob_retained(p: float, design: TwoStageDesign, n_an: int) -> float:
     """Rejection probability when the planned bound a is kept at n_an."""
-    d = design.require_valid()
-    _check_n_an(d, n_an)
-    _, cont = terminal_pmf(d, p, n_an)
-    return continuation_tail(cont, d.a + 1)
+    _check_n_an(design, n_an)
+    _, cont = terminal_pmf(design, p, n_an)
+    return continuation_tail(cont, design.a + 1)
 
 
 def reject_prob_ek(p: float, design: TwoStageDesign, n_an: int) -> float:
     """Rejection probability of the conditional-error test at n_an."""
-    d = design.require_valid()
-    p0 = _p0_of(d)
-    _check_n_an(d, n_an)
-    n2 = n_an - d.n1
+    p0 = _p0_of(design)
+    _check_n_an(design, n_an)
+    n2 = n_an - design.n1
     terms = []
-    for s1 in range(d.n1 + 1):
-        err = conditional_error(s1, d)
+    for s1 in range(design.n1 + 1):
+        err = conditional_error(s1, design)
         if err == 0.0:
             continue
         # the stage-2 p-value does not increase in s2, so the rejection
         # region is the upper tail from the first s2 whose p-value is <= err
         c = next((s2 for s2 in range(n2 + 1) if stage2_pvalue(s2, n2, p0) <= err), n2 + 1)
-        terms.append(binom_pmf(s1, d.n1, p) * binom_upper_tail(c, n2, p))
+        terms.append(binom_pmf(s1, design.n1, p) * binom_upper_tail(c, n2, p))
     return min(1.0, math.fsum(terms))
 
 
@@ -145,25 +141,24 @@ def interpretation_probabilities(
     p1: Optional[float] = None,
 ) -> InterpretationProbabilities:
     """P(naive estimate beats p0 / reaches p1) under p0 and under p1."""
-    d = design.require_valid()
     if n_an is None:
-        n_an = d.n
-    _check_n_an(d, n_an)
+        n_an = design.n
+    _check_n_an(design, n_an)
     if p0 is None or p1 is None:
-        if d.targets is None:
+        if design.targets is None:
             raise ValueError("p0 and p1 are required (no design targets present)")
-        p0 = d.targets.p0 if p0 is None else p0
-        p1 = d.targets.p1 if p1 is None else p1
+        p0 = design.targets.p0 if p0 is None else p0
+        p1 = design.targets.p1 if p1 is None else p1
 
     def prob(indicator, rows: tuple[list[float], list[float]]) -> float:
         stop, cont = rows
-        terms = [stop[s] for s in range(d.a1 + 1) if indicator(s / d.n1)]
-        terms += [cont[s] for s in range(d.a1 + 1, n_an + 1) if indicator(s / n_an)]
+        terms = [stop[s] for s in range(design.a1 + 1) if indicator(s / design.n1)]
+        terms += [cont[s] for s in range(design.a1 + 1, n_an + 1) if indicator(s / n_an)]
         return min(1.0, math.fsum(terms))
 
     above_p0 = lambda est: est > p0
     at_least_p1 = lambda est: est >= p1
-    at_p0, at_p1 = terminal_pmf(d, p0, n_an), terminal_pmf(d, p1, n_an)
+    at_p0, at_p1 = terminal_pmf(design, p0, n_an), terminal_pmf(design, p1, n_an)
     return InterpretationProbabilities(
         naive_above_p0_at_p0=prob(above_p0, at_p0),
         naive_above_p0_at_p1=prob(above_p0, at_p1),

@@ -47,7 +47,7 @@ class AnalysisState:
     s1: Optional[int] = None
 
     def __post_init__(self) -> None:
-        d = self.design.require_valid()
+        a1, n1 = self.design.a1, self.design.n1
         if self.m > MAX_SAMPLE_SIZE:
             # checked here because the CP, Wald and Wilson intervals and the
             # UMVUE never reach the kernel's own cap
@@ -55,23 +55,23 @@ class AnalysisState:
                 f"analysed sample size {self.m} exceeds the cap of {MAX_SAMPLE_SIZE}"
             )
         if self.stage == 1:
-            if self.m != d.n1:
-                raise ValueError(f"stage-1 analysis must use m = n1 = {d.n1}, got {self.m}")
-            if not 0 <= self.s <= d.a1:
+            if self.m != n1:
+                raise ValueError(f"stage-1 analysis must use m = n1 = {n1}, got {self.m}")
+            if not 0 <= self.s <= a1:
                 raise ValueError(
-                    f"stage-1 termination requires 0 <= s <= a1 = {d.a1}, got s={self.s}"
+                    f"stage-1 termination requires 0 <= s <= a1 = {a1}, got s={self.s}"
                 )
         elif self.stage == 2:
-            if self.m <= d.n1:
-                raise ValueError(f"stage-2 analysis needs m > n1 = {d.n1}, got {self.m}")
-            if not d.a1 < self.s <= self.m:
+            if self.m <= n1:
+                raise ValueError(f"stage-2 analysis needs m > n1 = {n1}, got {self.m}")
+            if not a1 < self.s <= self.m:
                 raise ValueError(
                     f"stage-2 termination requires a1 < s <= m, got s={self.s}, m={self.m}"
                 )
         else:
             raise ValueError(f"stage must be 1 or 2, got {self.stage}")
         if self.s1 is not None:
-            if not d.a1 < self.s1 <= d.n1:
+            if not a1 < self.s1 <= n1:
                 raise ValueError(f"stage-1 successes must satisfy a1 < s1 <= n1, got {self.s1}")
             if self.s1 > self.s:
                 raise ValueError(f"s1={self.s1} cannot exceed total successes s={self.s}")
@@ -144,15 +144,20 @@ def _check_level(level: float) -> float:
     return 1.0 - level
 
 
+def _check_counts(s: int, m: int) -> None:
+    """Reject a count that is not 0 <= s <= m with m >= 1."""
+    if m <= 0:
+        raise ValueError(f"sample size must be positive, got {m}")
+    if not 0 <= s <= m:
+        raise ValueError(f"successes must satisfy 0 <= s <= m, got s={s}, m={m}")
+
+
 # ---------------------------------------------------------------------------
 # point estimation
 
 
 def estimate_naive(s: int, m: int) -> float:
-    if m <= 0:
-        raise ValueError(f"sample size must be positive, got {m}")
-    if s > m:
-        raise ValueError(f"successes {s} exceed sample size {m}")
+    _check_counts(s, m)
     return s / m
 
 
@@ -217,14 +222,13 @@ def estimate_bias_adjusted(state: AnalysisState) -> Estimate:
 
 def umvue_fraction(s: int, m: int, design: TwoStageDesign) -> Fraction:
     """Uniform minimum variance unbiased estimate, in exact arithmetic."""
-    d = design.require_valid()
-    if m == d.n1:
-        return Fraction(s, d.n1)
-    n2 = m - d.n1
-    lo = max(d.a1 + 1, s - n2)
-    hi = min(s, d.n1)
-    num = sum(math.comb(d.n1 - 1, i - 1) * math.comb(n2, s - i) for i in range(lo, hi + 1))
-    den = sum(math.comb(d.n1, i) * math.comb(n2, s - i) for i in range(lo, hi + 1))
+    if m == design.n1:
+        return Fraction(s, design.n1)
+    n2 = m - design.n1
+    lo = max(design.a1 + 1, s - n2)
+    hi = min(s, design.n1)
+    num = sum(math.comb(design.n1 - 1, i - 1) * math.comb(n2, s - i) for i in range(lo, hi + 1))
+    den = sum(math.comb(design.n1, i) * math.comb(n2, s - i) for i in range(lo, hi + 1))
     return Fraction(num, den)
 
 
@@ -234,18 +238,17 @@ def estimate_umvue(state: AnalysisState) -> float:
 
 def umvcue_fraction(s: int, m: int, design: TwoStageDesign) -> Fraction:
     """Conditionally (on reaching stage 2) unbiased estimate, exact."""
-    d = design.require_valid()
-    if m == d.n1:
-        return Fraction(s, d.n1)
-    n2 = m - d.n1
-    lo = max(d.a1 + 1, s - n2)
-    hi = min(s, d.n1)
+    if m == design.n1:
+        return Fraction(s, design.n1)
+    n2 = m - design.n1
+    lo = max(design.a1 + 1, s - n2)
+    hi = min(s, design.n1)
     num = sum(
-        math.comb(d.n1, i) * math.comb(n2 - 1, s - i - 1)
+        math.comb(design.n1, i) * math.comb(n2 - 1, s - i - 1)
         for i in range(lo, hi + 1)
         if 0 <= s - i - 1 <= n2 - 1
     )
-    den = sum(math.comb(d.n1, i) * math.comb(n2, s - i) for i in range(lo, hi + 1))
+    den = sum(math.comb(design.n1, i) * math.comb(n2, s - i) for i in range(lo, hi + 1))
     return Fraction(num, den)
 
 
@@ -333,11 +336,10 @@ def q_value(
     At m = n1 this is P(at least s stage-1 successes); at the final sample
     size it sums over continuation paths whose total reaches at least s.
     """
-    d = design.require_valid()
-    nf = d.n if n_final is None else n_final
-    if _outcome_stage(s, m, d, nf) == 1:
-        return binom_upper_tail(s, d.n1, p)
-    _, cont = terminal_pmf(d, p, nf)
+    nf = design.n if n_final is None else n_final
+    if _outcome_stage(s, m, design, nf) == 1:
+        return binom_upper_tail(s, design.n1, p)
+    _, cont = terminal_pmf(design, p, nf)
     return continuation_tail(cont, s)
 
 
@@ -353,11 +355,10 @@ def q_lower_value(
     Complements q_value but includes the observed outcome, so the two sum
     to 1 plus the outcome's own probability.
     """
-    d = design.require_valid()
-    nf = d.n if n_final is None else n_final
-    if _outcome_stage(s, m, d, nf) == 1:
-        return binom_cdf(s, d.n1, p)
-    stop, cont = terminal_pmf(d, p, nf)
+    nf = design.n if n_final is None else n_final
+    if _outcome_stage(s, m, design, nf) == 1:
+        return binom_cdf(s, design.n1, p)
+    stop, cont = terminal_pmf(design, p, nf)
     return min(1.0, math.fsum(stop + cont[: s + 1]))
 
 
@@ -464,10 +465,7 @@ def ci_midp(state: AnalysisState, level: float = 0.95) -> ConfidenceInterval:
 def ci_clopper_pearson(s: int, m: int, level: float = 0.95) -> ConfidenceInterval:
     """Exact tail-inversion interval for a plain binomial proportion."""
     alpha_ci = _check_level(level)
-    if m <= 0:
-        raise ValueError(f"sample size must be positive, got {m}")
-    if not 0 <= s <= m:
-        raise ValueError(f"successes must satisfy 0 <= s <= m, got s={s}, m={m}")
+    _check_counts(s, m)
     half = alpha_ci / 2.0
     if s == 0:
         return ConfidenceInterval(0.0, 1.0 - half ** (1.0 / m), level, "CP")
@@ -480,8 +478,7 @@ def ci_clopper_pearson(s: int, m: int, level: float = 0.95) -> ConfidenceInterva
 
 def ci_wald(s: int, m: int, level: float = 0.95) -> ConfidenceInterval:
     alpha_ci = _check_level(level)
-    if m <= 0:
-        raise ValueError(f"sample size must be positive, got {m}")
+    _check_counts(s, m)
     phat = s / m
     z = normal_quantile(1.0 - alpha_ci / 2.0)
     half_width = z * math.sqrt(phat * (1.0 - phat) / m)
@@ -492,8 +489,7 @@ def ci_wald(s: int, m: int, level: float = 0.95) -> ConfidenceInterval:
 
 def ci_wilson(s: int, m: int, level: float = 0.95) -> ConfidenceInterval:
     alpha_ci = _check_level(level)
-    if m <= 0:
-        raise ValueError(f"sample size must be positive, got {m}")
+    _check_counts(s, m)
     phat = s / m
     z = normal_quantile(1.0 - alpha_ci / 2.0)
     z2 = z * z
@@ -544,11 +540,8 @@ def coverage(
     (outcome, design, level) -> ConfidenceInterval. Interval membership
     uses closed endpoints.
     """
-    d = design.require_valid()
-    nf = d.n if n_final is None else n_final
-    if nf < d.n1 + 1:
-        raise ValueError(f"final sample size {nf} must exceed n1={d.n1}")
-    d_an = d if nf == d.n else d.with_final_n(nf)
+    nf = design.n if n_final is None else n_final
+    d_an = design if nf == design.n else design.with_final_n(nf)
     if callable(method):
         build = method
     else:

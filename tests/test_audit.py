@@ -75,6 +75,25 @@ def test_parse_rejects_sample_size_above_the_cap(column):
     assert column in error.message and "cap" in error.message
 
 
+@pytest.mark.parametrize(
+    "n_analysis, s_analysis, message",
+    [
+        (20, 30, "column 's_analysis': 30 is outside 0..20"),
+        (20, -1, "column 's_analysis': -1 is outside 0..20"),
+        (0, 0, "column 'n_analysis': 0 is below 1"),
+    ],
+    ids=["s_above_n", "s_negative", "n_zero"],
+)
+def test_parse_rejects_counts_no_analysis_can_have(n_analysis, s_analysis, message):
+    parsed = parse_records(
+        "id,a1,n1,n,stage,n_analysis,s_analysis\n"
+        f"BAD,1,10,29,2,{n_analysis},{s_analysis}\nOK,1,10,29,2,29,6\n"
+    )
+    assert [r.id for r in parsed.records] == ["OK"]
+    (error,) = parsed.errors
+    assert (error.row, error.record_id, error.message) == (2, "BAD", message)
+
+
 def test_parse_warns_on_unknown_columns():
     parsed = parse_records("id,flavour\nT,vanilla\n")
     assert parsed.warnings and "flavour" in parsed.warnings[0]

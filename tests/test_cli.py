@@ -58,13 +58,16 @@ def test_design_admissible(capsys):
 
 
 def test_design_infeasible_exit_code(capsys):
-    status, _, err = run(
-        capsys, "design", "--p0", "0.1", "--p1", "0.3", "--alpha", "0.05",
-        "--beta", "0.2", "--nmax", "20",
-    )
-    assert status == 3
-    assert err.startswith("INFEASIBLE:")
-    assert err.count("\n") == 1
+    for criterion in ("optimal", "minimax", "admissible"):
+        status, out, err = run(
+            capsys, "design", "--p0", "0.1", "--p1", "0.3", "--alpha", "0.05",
+            "--beta", "0.2", "--criterion", criterion, "--nmax", "20",
+        )
+        assert status == 3
+        assert out == ""
+        assert err == (
+            "INFEASIBLE: no feasible design with n <= 20; binding constraint: power\n"
+        )
 
 
 def test_design_small_nmax_is_invalid_input_for_every_criterion(capsys):
@@ -242,6 +245,35 @@ def test_audit_success_and_partial(capsys, tmp_path):
     assert status == 4
     assert "ROW_ERROR:" in err
     assert json.loads(out)["row_errors"] == 1
+
+
+@pytest.mark.parametrize(
+    "n_analysis, s_analysis, message",
+    [
+        (20, 30, "column 's_analysis': 30 is outside 0..20"),
+        (20, -1, "column 's_analysis': -1 is outside 0..20"),
+        (0, 0, "column 'n_analysis': 0 is below 1"),
+    ],
+    ids=["s_above_n", "s_negative", "n_zero"],
+)
+def test_audit_reports_impossible_counts_as_row_errors(
+    capsys, tmp_path, n_analysis, s_analysis, message
+):
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "id,p0,p1,a1,a,n1,n,stage,n_analysis,s_analysis,est,ci_level,ci_low,ci_upp\n"
+        f"BAD,0.1,0.3,1,5,10,29,2,{n_analysis},{s_analysis},0.5,0.95,0.3,0.7\n"
+        "OK,0.1,0.3,1,5,10,29,2,29,6,0.21,0.95,0.08,0.40\n"
+    )
+    out_dir = tmp_path / "report"
+    status, out, err = run(capsys, "audit", "--input", str(records), "--out", str(out_dir))
+    assert status == 4
+    assert err == f"ROW_ERROR: row 2 (id BAD): {message}\n"
+    assert len(out.strip().splitlines()) == 5
+    report = json.loads((out_dir / "audit_report.json").read_text())
+    assert (report["n_records"], report["row_errors"]) == (1, 1)
+    estimates = (out_dir / "estimates_naive_vs_umvue.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in estimates[1:]] == ["OK"]
 
 
 def test_audit_empty_file(capsys, tmp_path):

@@ -1,7 +1,9 @@
 """Design representation, operating characteristics, and optimal search."""
 
+import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -46,13 +48,32 @@ DESIGN = TwoStageDesign(a1=1, a=5, n1=10, n=29, targets=TARGETS)
 
 
 def test_validation_catches_ordering_violations():
-    assert DESIGN.violations() == []
-    bad = TwoStageDesign(a1=5, a=3, n1=10, n=29)
-    assert bad.violations()
-    with pytest.raises(ValueError):
-        bad.require_valid()
-    assert TwoStageDesign(a1=1, a=5, n1=29, n=29).violations()
-    assert TwoStageDesign(a1=10, a=12, n1=10, n=29).violations()
+    # every way of making a design rejects the same boundaries, naming each
+    # violated condition
+    cases = [
+        (lambda: TwoStageDesign(a1=5, a=3, n1=10, n=29), "5/10, 3/29: a must be >= a1"),
+        (lambda: TwoStageDesign(a1=1, a=5, n1=29, n=29), "1/29, 5/29: n1 must be < n"),
+        (lambda: TwoStageDesign(a1=10, a=12, n1=10, n=29), "10/10, 12/29: a1 must be < n1"),
+        (lambda: TwoStageDesign(a1=-1, a=5, n1=10, n=29), "-1/10, 5/29: a1 must be >= 0"),
+        (
+            lambda: TwoStageDesign(a1=10, a=3, n1=10, n=3),
+            "10/10, 3/3: a1 must be < n1; n1 must be < n; a must be >= a1; a must be < n",
+        ),
+        (
+            lambda: TwoStageDesign(a1=1, a=12, n1=10, n=29).with_final_n(12),
+            "1/10, 12/12: a must be < n",
+        ),
+        (lambda: dataclasses.replace(DESIGN, a=0), "1/10, 0/29: a must be >= a1"),
+        (
+            lambda: TwoStageDesign.from_json_dict({**DESIGN.to_json_dict(), "n1": 29}),
+            "1/29, 5/29: n1 must be < n",
+        ),
+        (lambda: TwoStageDesign.from_compact("3/10, 2/29"), "3/10, 2/29: a must be >= a1"),
+    ]
+    for make, message in cases:
+        with pytest.raises(ValueError, match=re.escape(f"invalid design {message}")):
+            make()
+    assert dataclasses.replace(DESIGN, a=28).a == 28
 
 
 def test_compact_round_trip():

@@ -1,6 +1,7 @@
 """Point estimation, p-values, confidence intervals, and exact coverage."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -369,6 +370,25 @@ def test_wald_and_wilson_closed_forms():
     centre = (phat + z * z / 58) / (1 + z * z / 29)
     assert wilson.low < centre < wilson.upp
     assert 0.0 <= wilson.low < wilson.upp <= 1.0
+
+
+@pytest.mark.parametrize(
+    "procedure", [estimate_naive, ci_clopper_pearson, ci_wald, ci_wilson],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize(
+    "s, m, message",
+    [
+        (12, 10, "successes must satisfy 0 <= s <= m, got s=12, m=10"),
+        (-1, 10, "successes must satisfy 0 <= s <= m, got s=-1, m=10"),
+        (0, 0, "sample size must be positive, got 0"),
+        (1, -3, "sample size must be positive, got -3"),
+    ],
+    ids=["s_above_m", "s_negative", "m_zero", "m_negative"],
+)
+def test_plain_binomial_procedures_share_one_count_check(procedure, s, m, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        procedure(s, m)
 
 
 def test_jt_interval_known_values():
