@@ -61,6 +61,10 @@ EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_PARTIAL_AUDIT = 4
 
+# Most points a "start:stop:step" p-grid may have: a step of 1e-4 across
+# [0, 1]. Each point costs one exact coverage sum.
+MAX_P_GRID_POINTS = 10_001
+
 
 def _emit(payload: dict, fmt: str, table_rows: list[tuple[str, object]]) -> None:
     """Write one result in the requested format.
@@ -242,6 +246,12 @@ def _parse_p_grid(spec: str) -> list[float]:
             raise ValueError(f"malformed p-grid {spec!r}")
         if step <= 0 or stop < start:
             raise ValueError("p-grid needs step > 0 and stop >= start")
+        # counted before any point is built; a NaN or infinite count fails too
+        if not (stop - start + 1e-12) / step < MAX_P_GRID_POINTS:
+            raise ValueError(
+                f"p-grid {spec!r} needs finite bounds and at most the cap of "
+                f"{MAX_P_GRID_POINTS} points"
+            )
         values = []
         k = 0
         while True:

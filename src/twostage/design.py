@@ -328,6 +328,63 @@ def _tail(pmf1: list[float], sf2: list[float], head: list[float], a1: int, a: in
     return reduce(add, map(mul, pmf1[n1 : lo - 1 : -1], sf2[a - n1 + 1 : a - lo + 2]), 0.0)
 
 
+def _np_power(n: int, p0: float, p1: float, level: float) -> float:
+    """Power at p1 of the randomised UMP level-`level` test of p0 against
+    p1 on n Bernoulli observations: reject on the largest totals first,
+    since their likelihood ratio is the largest, and randomise on the
+    total that would overshoot the level."""
+    pmf0, pmf1 = binom_pmf_row(n, p0), binom_pmf_row(n, p1)
+    size = power = 0.0
+    for k in range(n, -1, -1):
+        if size + pmf0[k] > level:
+            return power + (level - size) / pmf0[k] * pmf1[k]
+        size += pmf0[k]
+        power += pmf1[k]
+    return power
+
+
+def _np_lower_bound(targets: DesignTargets, n_max: int) -> int:
+    """The smallest n that can hold a feasible design, or n_max + 1 if no
+    n <= n_max can.
+
+    A design with maximum size n is a test on at most n observations, so
+    its power at p1 is at most that of the randomised UMP (Neyman-Pearson)
+    test on n observations at the same level, and that power does not fall
+    as n grows. The bound is the first n at which the UMP power at level
+    alpha * (1 + 1e-9) reaches (1 - beta) - 1e-9.
+
+    The margins make float rounding harmless. The pmf terms, and so the
+    float sums that decide feasibility and the UMP power itself, are off by
+    a few 1e-11 relative at n = 10^4 and about 1e-13 at Simon's sizes. A
+    design the float sums accept at n therefore has a true size below the
+    widened level and a true power within 1e-11 of 1 - beta, and the true
+    UMP power at every n' >= n is at least that. So the computed UMP power
+    clears the lowered target at every n' from the first float-feasible n
+    on, however it wobbles in n elsewhere. The search below keeps an n that
+    misses the target (or 0) at lo and one that reaches it at hi, so the n
+    it returns is no larger than the first float-feasible one. Galloping
+    then bisection take O(log n) pmf-row pairs whatever n_max is.
+    """
+    p0, p1 = targets.p0, targets.p1
+    level, target = targets.alpha * (1.0 + 1e-9), (1.0 - targets.beta) - 1e-9
+
+    def reaches(n: int) -> bool:
+        return _np_power(n, p0, p1, level) >= target
+
+    lo, hi = 0, 1  # reaches(lo) is false or lo == 0; reaches(hi) is true
+    while not reaches(hi):
+        if hi >= n_max:
+            return n_max + 1
+        lo, hi = hi, min(2 * hi, n_max)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _frontier(
     targets: DesignTargets, n_max: int
 ) -> Iterator[tuple[float, int, TwoStageDesign]]:
@@ -344,7 +401,12 @@ def _frontier(
 
     Every float that decides feasibility or EN is summed in the same order
     as an n1 x n matrix of cumulative sums would be, and each prune below
-    skips only candidates that those floats rule out.
+    skips only candidates that those floats rule out. That holds for the
+    range of n too. The walk starts at the Neyman-Pearson bound
+    _np_lower_bound, below which no n has a float-feasible design. Once a
+    design is found, it stops after the first n at which every (n1, a1)
+    the power prune admits fails the EN pre-check: EN = n1 + (1 - cdf0) n2
+    does not fall as n grows, so no later n could be yielded either.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
@@ -360,8 +422,11 @@ def _frontier(
         return rows[m]
 
     bound = math.inf  # the smallest EN(p0) at any smaller n
-    for n in range(1, n_max + 1):
+    for n in range(_np_lower_bound(targets, n_max), n_max + 1):
         best = None  # (en_p0, a1, a, n1)
+        # some candidate at this n passed the EN pre-check, or may pass it
+        # at a larger n
+        live = False
         for n1 in range(1, n):
             # EN >= n1 up to cdf rounding above 1.0, a few ulps times n2,
             # so no larger n1 can reach the smallest EN so far
@@ -377,9 +442,15 @@ def _frontier(
                 if first1.sf[a1 + 1] < power:
                     break
                 en_p0 = n1 + (1.0 - first0.cdf[a1]) * n2
+                if en_p0 > bound:
+                    # EN does not fall as n grows unless cdf0 rounded above
+                    # 1.0 (float rounding is monotone)
+                    live = live or first0.cdf[a1] > 1.0
+                    continue
+                live = True
                 # EN does not depend on a; a tie at this n goes to the
                 # candidate found first
-                if en_p0 > bound or (best is not None and en_p0 >= best[0]):
+                if best is not None and en_p0 >= best[0]:
                     continue
                 if a_hi is None:
                     second0, second1 = row(n2)
@@ -414,6 +485,11 @@ def _frontier(
             en_p0, a1, a, n1 = best
             yield en_p0, n, TwoStageDesign(a1=a1, a=a, n1=n1, n=n, targets=targets)
             bound = en_p0
+        elif not live and n > bound + 1:
+            # every (n1, a1) the power prune admits failed the EN pre-check,
+            # and a larger n adds no n1 <= bound + 1, so no later n can
+            # yield
+            break
         if bound < math.inf:
             # later n read stage-1 rows m <= k and stage-2 rows m > n - k
             k = int(bound) + 1

@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Callable, Iterable, Optional
 
 from .binomial import (
     MAX_SAMPLE_SIZE,
-    RootResult,
     binom_cdf,
     binom_upper_tail,
     normal_quantile,
@@ -76,9 +75,10 @@ class AnalysisState:
             if self.s1 > self.s:
                 raise ValueError(f"s1={self.s1} cannot exceed total successes s={self.s}")
 
-    @property
+    @cached_property
     def analysis_design(self) -> TwoStageDesign:
-        """The design with n replaced by the realised final sample size."""
+        """The design with n replaced by the realised final sample size,
+        built once per state."""
         if self.stage == 2 and self.m != self.design.n:
             return self.design.with_final_n(self.m)
         return self.design

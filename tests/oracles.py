@@ -243,3 +243,41 @@ def brute_force_search(p0, p1, alpha, beta, criterion, n_max):
         if criterion == "minimax" and best is not None:
             break
     return best
+
+
+def first_feasible_n(p0, p1, alpha, beta, n_max):
+    """The smallest n <= n_max with a design that controls alpha and has
+    power 1 - beta by reject_matrix_oracle (scipy pmf rows), or None."""
+    rows = {}
+
+    def pmfs(m):
+        if m not in rows:
+            k = np.arange(m + 1)
+            rows[m] = (scipy_binom.pmf(k, m, p0), scipy_binom.pmf(k, m, p1))
+        return rows[m]
+
+    for n in range(2, n_max + 1):
+        for n1 in range(1, n):
+            (first0, first1), (second0, second1) = pmfs(n1), pmfs(n - n1)
+            ok = reject_matrix_oracle(first0, second0) <= alpha
+            if ok.any() and np.any(ok & (reject_matrix_oracle(first1, second1) >= 1 - beta)):
+                return n
+    return None
+
+
+def ump_first_n(p0, p1, alpha, beta, n_max):
+    """The smallest n <= n_max at which the randomised UMP level-alpha test
+    of p0 against p1 on n observations has power 1 - beta, or None.
+
+    It rejects for totals of at least c, the smallest c with
+    P0(X >= c) <= alpha, and with probability gamma at c - 1, where gamma
+    spends the rest of alpha.
+    """
+    for n in range(1, n_max + 1):
+        sf0 = scipy_binom.sf(np.arange(-1, n + 1), n, p0)  # P0(X >= k), k = 0..n+1
+        c = int(np.argmax(sf0 <= alpha))
+        gamma = (alpha - sf0[c]) / scipy_binom.pmf(c - 1, n, p0)
+        power = scipy_binom.sf(c - 1, n, p1) + gamma * scipy_binom.pmf(c - 1, n, p1)
+        if power >= 1 - beta:
+            return n
+    return None

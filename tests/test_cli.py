@@ -204,6 +204,23 @@ def test_coverage_grid(capsys):
     assert all(pt["coverage"] >= 0.95 for pt in points)
 
 
+def test_p_grid_above_the_cap_is_invalid_input(capsys, monkeypatch):
+    # the points are counted before any is built, so a 10**9-point grid
+    # fails at once and no coverage is computed
+    def never(*args, **kwargs):
+        raise AssertionError("coverage computed above the p-grid cap")
+
+    monkeypatch.setattr(cli, "coverage", never)
+    for spec in ("0:1:1e-9", "0:1:1e-5", "0:inf:0.1", "nan:1:0.1"):
+        status, _, err = run(
+            capsys, "coverage", "--design", "1/10,5/29", "--p-grid", spec
+        )
+        assert status == 2
+        assert err.startswith("INVALID_INPUT:") and "cap" in err
+    assert len(cli._parse_p_grid("0.01:0.99:0.01")) == 99
+    assert len(cli._parse_p_grid("0:1:1e-4")) == cli.MAX_P_GRID_POINTS == 10_001
+
+
 def test_coverage_needs_exactly_one_p_flag(capsys):
     status, _, err = run(capsys, "coverage", "--design", "1/10,5/29")
     assert status == 2

@@ -17,9 +17,11 @@ from oracles import (
     brute_force_search,
     en_oracle,
     exact_terminal_rows,
+    first_feasible_n,
     reject_matrix_oracle,
     reject_prob_oracle,
     terminal_probs,
+    ump_first_n,
 )
 from twostage.binomial import MAX_SAMPLE_SIZE, binom_pmf, binom_pmf_row
 from twostage.design import (
@@ -29,6 +31,7 @@ from twostage.design import (
     _frontier,
     _head,
     _log_counts,
+    _np_lower_bound,
     _tables,
     _tail,
     admissible_set,
@@ -343,7 +346,14 @@ def test_search_sums_equal_the_reject_matrix_bit_for_bit(p):
                 assert min(max(matrix[a1]), 1.0) <= first.sf[a1 + 1]
 
 
-@pytest.mark.parametrize("p0,p1", [(0.05, 0.25), (0.1, 0.3), (0.2, 0.4), (0.25, 0.5)])
+@pytest.mark.parametrize(
+    "p0,p1",
+    [
+        (0.05, 0.25), (0.1, 0.3), (0.2, 0.4), (0.25, 0.5),
+        # null-optimal n of 9, 10 and 14: the walk stops well before 40
+        (0.1, 0.5), (0.3, 0.7), (0.5, 0.9),
+    ],
+)
 def test_frontier_is_the_brute_force_staircase(p0, p1):
     targets = DesignTargets(p0=p0, p1=p1, alpha=0.05, beta=0.2)
     frontier = list(_frontier(targets, 40))
@@ -390,6 +400,64 @@ def test_minimax_search_builds_only_the_rows_it_reads():
     assert search_designs(TARGETS, "minimax", n_max=10_000) == search_designs(
         TARGETS, "minimax", n_max=40
     )
+
+
+# Simon's grid, each (p0, p1) with one of his three (alpha, beta) pairs in
+# turn, then edge targets: p0 = 0, p1 = 1, a tiny alpha and beta = 0.5
+SIMON_ERRORS = [(0.05, 0.2), (0.05, 0.1), (0.1, 0.1)]
+NP_TARGETS = [
+    (p0, round(p0 + delta, 2), *SIMON_ERRORS[i % 3])
+    for i, (p0, delta) in enumerate(
+        (p0, delta)
+        for p0 in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+        for delta in (0.15, 0.2)
+    )
+] + [
+    (0.0, 0.2, 0.05, 0.2),
+    (0.0, 0.05, 0.05, 0.2),
+    (0.5, 1.0, 0.05, 0.2),
+    (0.9, 1.0, 0.05, 0.2),
+    (0.0, 1.0, 0.05, 0.2),
+    (0.1, 0.5, 1e-6, 0.2),
+    (0.1, 0.3, 0.05, 0.5),
+    (0.3, 0.6, 1e-6, 0.5),
+]
+
+
+@pytest.mark.parametrize("p0,p1,alpha,beta", NP_TARGETS)
+def test_np_lower_bound_against_brute_force(p0, p1, alpha, beta):
+    bound = _np_lower_bound(DesignTargets(p0=p0, p1=p1, alpha=alpha, beta=beta), 400)
+    # no n below the bound holds a feasible design, and the bound is the
+    # UMP test's own first n, so it is as tight as its argument allows
+    assert bound <= first_feasible_n(p0, p1, alpha, beta, 400)
+    assert bound == ump_first_n(p0, p1, alpha, beta, 400)
+
+
+def test_np_lower_bound_past_n_max():
+    # the minimax n for these targets is 25 and the UMP bound 23
+    assert _np_lower_bound(TARGETS, 400) == _np_lower_bound(TARGETS, 23) == 23
+    # no n <= n_max reaches the UMP target: n_max + 1
+    assert _np_lower_bound(TARGETS, 10) == 11
+    assert _np_lower_bound(TARGETS, 2) == 3
+    with pytest.raises(InfeasibleDesignError) as excinfo:
+        search_designs(TARGETS, "minimax", n_max=24)
+    assert excinfo.value.binding_constraint == "power"
+
+
+def test_null_optimal_search_stops_after_its_optimum(monkeypatch):
+    built = []
+    tables = _tables
+
+    def recording(m, p, cdf):
+        built.append(m)
+        return tables(m, p, cdf)
+
+    monkeypatch.setattr("twostage.design._tables", recording)
+    # the optimum is 1/10, 5/29 with EN(p0) 15.0; the walk ends at n = 36
+    found = search_designs(TARGETS, "null-optimal", n_max=10_000)
+    assert found.compact() == "1/10, 5/29"
+    assert max(built) < 36
+    assert admissible_set(TARGETS, n_max=10_000) == admissible_set(TARGETS, n_max=40)
 
 
 def test_targets_validation():

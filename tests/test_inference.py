@@ -233,6 +233,19 @@ def test_estimates_at_deviated_final_n():
     )
 
 
+def test_estimate_all_builds_the_analysis_design_once(monkeypatch):
+    builds = []
+    with_final_n = TwoStageDesign.with_final_n
+
+    def counting(self, n_final):
+        builds.append(n_final)
+        return with_final_n(self, n_final)
+
+    monkeypatch.setattr(TwoStageDesign, "with_final_n", counting)
+    estimate_all(AnalysisState(design=DESIGN, s=5, m=26, stage=2))
+    assert builds == [26]
+
+
 def test_analysis_state_validation():
     with pytest.raises(ValueError):
         AnalysisState(design=DESIGN, s=5, m=10, stage=1)  # continued, not stopped
