@@ -150,48 +150,49 @@ class OperatingCharacteristics:
         return dataclasses.asdict(self)
 
 
-def terminal_outcomes(
-    design: TwoStageDesign, n_final: Optional[int] = None
-) -> Iterator[TerminalOutcome]:
-    """All terminal outcomes of the design in stagewise order."""
-    nf = design.n if n_final is None else n_final
+def terminal_outcomes(design: TwoStageDesign) -> Iterator[TerminalOutcome]:
+    """All terminal outcomes of the design in stagewise order, which is the
+    order of their totals s = 0..n."""
     for s in range(design.a1 + 1):
         yield TerminalOutcome(s=s, stage=1, m=design.n1)
-    for s in range(design.a1 + 1, nf + 1):
-        yield TerminalOutcome(s=s, stage=2, m=nf)
+    for s in range(design.a1 + 1, design.n + 1):
+        yield TerminalOutcome(s=s, stage=2, m=design.n)
 
 
 def terminal_pmf(
     design: TwoStageDesign, p: float, n_final: Optional[int] = None
-) -> tuple[list[float], list[float]]:
+) -> list[float]:
     """Exact distribution of the design's terminal outcomes under p.
 
-    ``stop[s]`` is P(stop at stage 1 with s successes) for s = 0..a1, and
-    ``cont[s]`` is P(continue and end with s total successes) for
-    s = 0..n_final, zero for s <= a1. Rejection probabilities, q-values,
-    interval tails, bias and coverage are all sums over these two rows.
+    ``row[s]`` is P(the trial ends with s total successes) for
+    s = 0..n_final: it stops at stage 1 for s <= a1 and ends stage 2 for
+    s > a1, so each total names one terminal outcome and the stagewise
+    order is the order of s. Rejection probabilities, q-values, interval
+    tails, bias and coverage are all prefixes, suffixes or weighted sums of
+    this one row.
 
     Every path that continues and ends with s successes has probability
-    p^s (1 - p)^(n_final - s), so cont[s] = c_s p^s (1 - p)^(n_final - s)
-    with the path count c_s of _log_counts, which does not depend on p.
-    Raises ValueError for n_final above MAX_SAMPLE_SIZE.
+    p^s (1 - p)^(n_final - s), so row[s] = c_s p^s (1 - p)^(n_final - s)
+    for s > a1, with the path count c_s of _log_counts, which does not
+    depend on p. Raises ValueError for n_final above MAX_SAMPLE_SIZE.
     """
     nf = design.n if n_final is None else n_final
     if nf <= design.n1:
         raise ValueError(f"final sample size {nf} must exceed n1={design.n1}")
     if nf > MAX_SAMPLE_SIZE:
         raise ValueError(f"final sample size {nf} exceeds the cap of {MAX_SAMPLE_SIZE}")
-    stop = binom_pmf_row(design.n1, p, 0, design.a1 + 1)
-    cont = [0.0] * (nf + 1)
-    if p == 1.0:
-        cont[nf] = 1.0
-    elif p > 0.0:
+    row = binom_pmf_row(design.n1, p, 0, design.a1 + 1)
+    if 0.0 < p < 1.0:
         log_p, log_q, exp = math.log(p), math.log1p(-p), math.exp
-        cont[design.a1 + 1 :] = [
+        row += [
             exp(log_c + s * log_p + (nf - s) * log_q)
             for s, log_c in enumerate(_log_counts(design.a1, design.n1, nf), start=design.a1 + 1)
         ]
-    return stop, cont
+    else:
+        row += [0.0] * (nf - design.a1)
+        if p == 1.0:
+            row[nf] = 1.0
+    return row
 
 
 @lru_cache(maxsize=256)
@@ -216,9 +217,11 @@ def _log_counts(a1: int, n1: int, n_final: int) -> tuple[float, ...]:
     return tuple(map(math.log, row))
 
 
-def continuation_tail(cont: list[float], s: int) -> float:
-    """P(continue and end with at least s total successes)."""
-    return min(1.0, math.fsum(cont[s:]))
+def continuation_tail(row: list[float], s: int) -> float:
+    """P(the trial ends at or above total s in the stagewise order), a
+    suffix of terminal_pmf's row; for s > a1, P(continue and end with at
+    least s total successes)."""
+    return min(1.0, math.fsum(row[s:]))
 
 
 def terminal_distribution(
@@ -230,22 +233,22 @@ def terminal_distribution(
 ) -> float:
     """Probability of ending the given stage with exactly s total successes.
 
-    This is ``stop[s]`` (stage 1) or ``cont[s]`` (stage 2) of terminal_pmf,
+    This is ``row[s]`` of terminal_pmf when s ends the trial at that stage,
     and 0.0 where the trial cannot end that way: s < 0, a stage-1 s above
     a1 (the trial continues) or a stage-2 s at or below a1.
     """
     if stage == 1:
         if s > design.n1:
             raise ValueError(f"stage-1 successes {s} exceed n1={design.n1}")
-        row = terminal_pmf(design, p)[0]
     elif stage == 2:
         nf = design.n if n_final is None else n_final
-        row = terminal_pmf(design, p, nf)[1]
         if s > nf:
             raise ValueError(f"successes {s} exceed final sample size {nf}")
     else:
         raise ValueError(f"stage must be 1 or 2, got {stage}")
-    return row[s] if 0 <= s < len(row) else 0.0
+    if s < 0 or (s <= design.a1) != (stage == 1):
+        return 0.0
+    return terminal_pmf(design, p, n_final if stage == 2 else None)[s]
 
 
 def pet(p: float, design: TwoStageDesign) -> float:
@@ -264,8 +267,7 @@ def reject_prob(p: float, design: TwoStageDesign) -> float:
     a boundary p-value against the attained type-I error never splits on a
     rounding difference.
     """
-    _, cont = terminal_pmf(design, p)
-    return continuation_tail(cont, design.a + 1)
+    return continuation_tail(terminal_pmf(design, p), design.a + 1)
 
 
 def operating_characteristics(

@@ -95,8 +95,7 @@ def ek_reject(analysis: DeviatedAnalysis) -> bool:
 def reject_prob_retained(p: float, design: TwoStageDesign, n_an: int) -> float:
     """Rejection probability when the planned bound a is kept at n_an."""
     _check_n_an(design, n_an)
-    _, cont = terminal_pmf(design, p, n_an)
-    return continuation_tail(cont, design.a + 1)
+    return continuation_tail(terminal_pmf(design, p, n_an), design.a + 1)
 
 
 def reject_prob_ek(p: float, design: TwoStageDesign, n_an: int) -> float:
@@ -150,11 +149,11 @@ def interpretation_probabilities(
         p0 = design.targets.p0 if p0 is None else p0
         p1 = design.targets.p1 if p1 is None else p1
 
-    def prob(indicator, rows: tuple[list[float], list[float]]) -> float:
-        stop, cont = rows
-        terms = [stop[s] for s in range(design.a1 + 1) if indicator(s / design.n1)]
-        terms += [cont[s] for s in range(design.a1 + 1, n_an + 1) if indicator(s / n_an)]
-        return min(1.0, math.fsum(terms))
+    # the naive estimate of the outcome with total s
+    naive = [s / (design.n1 if s <= design.a1 else n_an) for s in range(n_an + 1)]
+
+    def prob(indicator, row: list[float]) -> float:
+        return min(1.0, math.fsum(pr for est, pr in zip(naive, row) if indicator(est)))
 
     above_p0 = lambda est: est > p0
     at_least_p1 = lambda est: est >= p1

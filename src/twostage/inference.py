@@ -10,6 +10,7 @@ size in place of n.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,10 +79,15 @@ class AnalysisState:
     @cached_property
     def analysis_design(self) -> TwoStageDesign:
         """The design with n replaced by the realised final sample size,
-        built once per state."""
-        if self.stage == 2 and self.m != self.design.n:
-            return self.design.with_final_n(self.m)
-        return self.design
+        built once per state. No analysis of a realised outcome reads the
+        final bound a, so an a that the realised size cannot exceed is
+        replaced by a1, as the audit does."""
+        design = self.design
+        if self.stage == 2 and self.m != design.n:
+            if design.a >= self.m:
+                design = dataclasses.replace(design, a=design.a1)
+            return design.with_final_n(self.m)
+        return design
 
 
 @dataclass(frozen=True)
@@ -161,12 +167,6 @@ def estimate_naive(s: int, m: int) -> float:
     return s / m
 
 
-def _outcome_probs(design: TwoStageDesign, p: float) -> list[float]:
-    """Terminal-outcome probabilities, in the order of terminal_outcomes."""
-    stop, cont = terminal_pmf(design, p)
-    return stop + cont[design.a1 + 1 :]
-
-
 def _expectation(values: Iterable[float], design: TwoStageDesign, p: float) -> float:
     """Sum of values[k] * P(outcome k) over the terminal outcomes under p.
 
@@ -177,7 +177,7 @@ def _expectation(values: Iterable[float], design: TwoStageDesign, p: float) -> f
     a lazy ``values`` computes anything. fsum rounds the exact sum of the
     products once, so the result does not depend on their order.
     """
-    return math.fsum(map(mul, values, _outcome_probs(design, p)))
+    return math.fsum(map(mul, values, terminal_pmf(design, p)))
 
 
 def _naive_procedure(s: int, m: int, design: TwoStageDesign) -> float:
@@ -306,60 +306,44 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
     return min(1.0, max(0.0, x))
 
 
-def _outcome_stage(s: int, m: int, d: TwoStageDesign, nf: int) -> int:
-    """The stage at which (s, m) is a terminal outcome of d with final
-    sample size nf; ValueError if it is not one."""
+def _check_outcome(s: int, m: int, d: TwoStageDesign) -> None:
+    """ValueError unless (s, m) is a terminal outcome of d."""
     if m == d.n1:
         if not 0 <= s <= d.a1:
             raise ValueError(
                 f"(s={s}, m={m}) is not a stage-1 terminal outcome (need s <= a1={d.a1})"
             )
-        return 1
-    if m == nf:
-        if not d.a1 < s <= nf:
+    elif m == d.n:
+        if not d.a1 < s <= d.n:
             raise ValueError(
                 f"(s={s}, m={m}) is not a stage-2 terminal outcome of the design"
             )
-        return 2
-    raise ValueError(f"analysis sample size {m} is neither n1={d.n1} nor the final size {nf}")
+    else:
+        raise ValueError(
+            f"analysis sample size {m} is neither n1={d.n1} nor the final size {d.n}"
+        )
 
 
-def q_value(
-    s: int,
-    m: int,
-    p: float,
-    design: TwoStageDesign,
-    n_final: Optional[int] = None,
-) -> float:
-    """Stagewise-ordering tail probability of the terminal outcome (s, m).
+def q_value(s: int, m: int, p: float, design: TwoStageDesign) -> float:
+    """Stagewise-ordering tail probability of the terminal outcome (s, m):
+    the suffix of terminal_pmf's row from s.
 
     At m = n1 this is P(at least s stage-1 successes); at the final sample
     size it sums over continuation paths whose total reaches at least s.
     """
-    nf = design.n if n_final is None else n_final
-    if _outcome_stage(s, m, design, nf) == 1:
-        return binom_upper_tail(s, design.n1, p)
-    _, cont = terminal_pmf(design, p, nf)
-    return continuation_tail(cont, s)
+    _check_outcome(s, m, design)
+    return continuation_tail(terminal_pmf(design, p), s)
 
 
-def q_lower_value(
-    s: int,
-    m: int,
-    p: float,
-    design: TwoStageDesign,
-    n_final: Optional[int] = None,
-) -> float:
-    """Probability of an outcome at or below (s, m) in the stagewise order.
+def q_lower_value(s: int, m: int, p: float, design: TwoStageDesign) -> float:
+    """Probability of an outcome at or below (s, m) in the stagewise order:
+    the prefix of terminal_pmf's row up to s.
 
     Complements q_value but includes the observed outcome, so the two sum
     to 1 plus the outcome's own probability.
     """
-    nf = design.n if n_final is None else n_final
-    if _outcome_stage(s, m, design, nf) == 1:
-        return binom_cdf(s, design.n1, p)
-    stop, cont = terminal_pmf(design, p, nf)
-    return min(1.0, math.fsum(stop + cont[: s + 1]))
+    _check_outcome(s, m, design)
+    return min(1.0, math.fsum(terminal_pmf(design, p)[: s + 1]))
 
 
 def estimate_median_unbiased(state: AnalysisState) -> Estimate:
@@ -527,21 +511,13 @@ def interval_for_outcome(
     raise ValueError(f"unknown CI method {method!r}")
 
 
-def coverage(
-    method,
-    p: float,
-    design: TwoStageDesign,
-    n_final: Optional[int] = None,
-    level: float = 0.95,
-) -> float:
+def coverage(method, p: float, design: TwoStageDesign, level: float = 0.95) -> float:
     """Exact probability that the method's interval contains p.
 
     ``method`` is a CI method name or a callable
     (outcome, design, level) -> ConfidenceInterval. Interval membership
     uses closed endpoints.
     """
-    nf = design.n if n_final is None else n_final
-    d_an = design if nf == design.n else design.with_final_n(nf)
     if callable(method):
         build = method
     else:
@@ -551,7 +527,7 @@ def coverage(
         1.0,
         math.fsum(
             prob
-            for o, prob in zip(terminal_outcomes(d_an), _outcome_probs(d_an, p))
-            if build(o, d_an, level).contains(p)
+            for o, prob in zip(terminal_outcomes(design), terminal_pmf(design, p))
+            if build(o, design, level).contains(p)
         ),
     )

@@ -36,12 +36,13 @@ def terminal_probs(a1, n1, n, p):
     return probs
 
 
-def exact_terminal_rows(a1, n1, n, p):
-    """The stop and continuation rows of terminal_pmf, exact then rounded once.
+def exact_terminal_row(a1, n1, n, p):
+    """The row of terminal_pmf, exact then rounded once: P(the trial ends
+    with s total successes) for s = 0..n.
 
     A float p is a dyadic rational num/den, so every path of the trial has
     the exact probability num^s (den - num)^(m - s) / den^m for s successes
-    in m patients. The continuation row counts its paths one (i, j) pair of
+    in m patients. The stage-2 terms count their paths one (i, j) pair of
     stage-1 and stage-2 successes at a time; the only rounding is the final
     int / int division, which Python rounds correctly.
     """
@@ -49,7 +50,7 @@ def exact_terminal_rows(a1, n1, n, p):
     q = den - num
     stop = [math.comb(n1, s) * num**s * q ** (n1 - s) / den**n1 for s in range(a1 + 1)]
     cont = [c * num**s * q ** (n - s) / den**n for s, c in enumerate(_paths(a1, n1, n))]
-    return stop, cont
+    return stop + cont[a1 + 1 :]
 
 
 def _paths(a1, n1, n):
@@ -67,7 +68,7 @@ def exact_stagewise_tails(s, m, a1, n1, n, p):
 
     q is the probability of an outcome at or above (s, m) in the stagewise
     order, q_lower of one at or below it. p is a float or a Fraction; every
-    path probability is an integer over den^m (see exact_terminal_rows), so
+    path probability is an integer over den^m (see exact_terminal_row), so
     both tails are sums of integers over one common denominator.
     """
     num, den = p.as_integer_ratio()

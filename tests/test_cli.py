@@ -132,6 +132,22 @@ def test_estimate_invalid_outcome(capsys):
     assert err.startswith("INVALID_INPUT:")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["estimate"], ["ci", "--method", "jt"], ["ci", "--method", "midp"], ["pvalue", "--null", "0.3"]],
+    ids=["estimate", "ci-jt", "ci-midp", "pvalue"],
+)
+def test_analysis_at_a_realised_size_not_above_a(capsys, command):
+    # no analysis of a realised outcome reads a, so a planned a that the
+    # realised m cannot exceed is replaced by a1 instead of being rejected
+    outcome = ["--s", "29", "--m", "30", "--format", "json"]
+    status, out, err = run(capsys, command[0], "--design", "9/27,30/81", *command[1:], *outcome)
+    assert (status, err) == (0, "")
+    status, want, _ = run(capsys, command[0], "--design", "9/27,9/30", *command[1:], *outcome)
+    assert status == 0
+    assert out == want
+
+
 def test_ci_methods(capsys):
     status, out, _ = run(
         capsys, "ci", "--design", "1/10,5/29", "--s", "6", "--m", "29",

@@ -16,7 +16,7 @@ from oracles import (
     brute_force_frontier,
     brute_force_search,
     en_oracle,
-    exact_terminal_rows,
+    exact_terminal_row,
     first_feasible_n,
     reject_matrix_oracle,
     reject_prob_oracle,
@@ -119,13 +119,12 @@ def test_terminal_distribution_against_path_enumeration():
 def test_terminal_pmf_rows_match_path_enumeration():
     for p in (0.1, 0.3):
         oracle = terminal_probs(1, 10, 29, p)
-        stop, cont = terminal_pmf(DESIGN, p)
-        assert len(stop) == 2 and len(cont) == 30
-        assert cont[:2] == [0.0, 0.0]
-        assert stop == pytest.approx([oracle[(s, 10)] for s in range(2)], abs=1e-12)
-        assert cont[2:] == pytest.approx([oracle[(s, 29)] for s in range(2, 30)], abs=1e-12)
-        assert continuation_tail(cont, DESIGN.a + 1) == reject_prob(p, DESIGN)
-        assert continuation_tail(cont, 30) == 0.0
+        row = terminal_pmf(DESIGN, p)
+        assert len(row) == 30
+        assert row[:2] == pytest.approx([oracle[(s, 10)] for s in range(2)], abs=1e-12)
+        assert row[2:] == pytest.approx([oracle[(s, 29)] for s in range(2, 30)], abs=1e-12)
+        assert continuation_tail(row, DESIGN.a + 1) == reject_prob(p, DESIGN)
+        assert continuation_tail(row, 30) == 0.0
 
 
 ORACLE_DESIGNS = [(1, 5, 10, 29), (13, 40, 40, 110), (5, 13, 105, 169), (30, 80, 150, 400)]
@@ -135,10 +134,10 @@ ORACLE_DESIGNS = [(1, 5, 10, 29), (13, 40, 40, 110), (5, 13, 105, 169), (30, 80,
 def test_terminal_pmf_matches_exact_path_enumeration(a1, a, n1, n):
     design = TwoStageDesign(a1=a1, a=a, n1=n1, n=n)
     for p in (1e-4, 0.01, 0.3, 0.77, 0.999):
-        stop, cont = terminal_pmf(design, p)
-        exact_stop, exact_cont = exact_terminal_rows(a1, n1, n, p)
-        assert cont[: a1 + 1] == [0.0] * (a1 + 1)
-        for got, want in zip(stop + cont, exact_stop + exact_cont):
+        row = terminal_pmf(design, p)
+        exact_row = exact_terminal_row(a1, n1, n, p)
+        assert len(row) == len(exact_row) == n + 1
+        for got, want in zip(row, exact_row):
             if want > 1e-290:
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -146,8 +145,8 @@ def test_terminal_pmf_matches_exact_path_enumeration(a1, a, n1, n):
 @pytest.mark.parametrize("a1,a,n1,n", ORACLE_DESIGNS)
 def test_terminal_pmf_is_exact_at_p_0_and_1(a1, a, n1, n):
     design = TwoStageDesign(a1=a1, a=a, n1=n1, n=n)
-    assert terminal_pmf(design, 0.0) == ([1.0] + [0.0] * a1, [0.0] * (n + 1))
-    assert terminal_pmf(design, 1.0) == ([0.0] * (a1 + 1), [0.0] * n + [1.0])
+    assert terminal_pmf(design, 0.0) == [1.0] + [0.0] * n
+    assert terminal_pmf(design, 1.0) == [0.0] * n + [1.0]
 
 
 def test_terminal_pmf_counts_beyond_the_float_range():
@@ -155,9 +154,9 @@ def test_terminal_pmf_counts_beyond_the_float_range():
     design = TwoStageDesign(a1=300, a=900, n1=1000, n=2000)
     assert max(_log_counts(300, 1000, 2000)) > math.log(sys.float_info.max)
     for p in (0.3, 0.5, 0.77):
-        stop, cont = terminal_pmf(design, p)
-        assert all(math.isfinite(x) for x in stop + cont)
-        assert math.fsum(stop) + math.fsum(cont) == pytest.approx(1.0, abs=1e-12)
+        row = terminal_pmf(design, p)
+        assert all(math.isfinite(x) for x in row)
+        assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_terminal_pmf_builds_one_count_row_per_design():
@@ -217,12 +216,13 @@ def test_terminal_distribution_over_every_stage_and_s_sums_to_one(n_final, p):
 
 
 def test_terminal_distribution_indexes_the_kernel_rows():
-    stop, cont = terminal_pmf(DESIGN, 0.3, 33)
+    row = terminal_pmf(DESIGN, 0.3, 33)
     for s in range(-2, DESIGN.n1 + 1):
-        want = stop[s] if 0 <= s <= DESIGN.a1 else 0.0
+        want = row[s] if 0 <= s <= DESIGN.a1 else 0.0
         assert terminal_distribution(s, 1, 0.3, DESIGN, 33) == want
     for s in range(-2, 34):
-        assert terminal_distribution(s, 2, 0.3, DESIGN, 33) == (cont[s] if s >= 0 else 0.0)
+        want = row[s] if s > DESIGN.a1 else 0.0
+        assert terminal_distribution(s, 2, 0.3, DESIGN, 33) == want
     # the stage-1 terms are the scalar kernel's, bit for bit
     for p in (0.01, 0.1, 0.3, 0.5, 0.99):
         for s in range(DESIGN.a1 + 1):

@@ -161,9 +161,9 @@ def test_interpretation_probabilities_build_each_kernel_once(monkeypatch):
         ("naive_at_least_p1_at_p0", lambda est: est >= 0.3, 0.1),
         ("naive_at_least_p1_at_p1", lambda est: est >= 0.3, 0.3),
     ):
-        stop, cont = terminal_pmf(DESIGN, p, 31)
-        terms = [stop[s] for s in range(2) if indicator(s / 10)]
-        terms += [cont[s] for s in range(2, 32) if indicator(s / 31)]
+        row = terminal_pmf(DESIGN, p, 31)
+        terms = [row[s] for s in range(2) if indicator(s / 10)]
+        terms += [row[s] for s in range(2, 32) if indicator(s / 31)]
         assert getattr(probs, name) == min(1.0, math.fsum(terms))
 
 

@@ -12,8 +12,14 @@ from scipy.stats import f as f_dist
 
 from oracles import stage_paths, terminal_probs
 from twostage import inference
-from twostage.binomial import solve_monotone_root
-from twostage.design import DesignTargets, TerminalOutcome, TwoStageDesign
+from twostage.binomial import binom_cdf, solve_monotone_root
+from twostage.design import (
+    DesignTargets,
+    TerminalOutcome,
+    TwoStageDesign,
+    terminal_outcomes,
+    terminal_pmf,
+)
 from twostage.inference import (
     AnalysisState,
     ci_clopper_pearson,
@@ -320,6 +326,21 @@ def q_lower_exact(s, p, design):
 def test_q_lower_value_small_tails_match_exact_enumeration(s, p):
     exact = q_lower_exact(s, p, DESIGN)
     assert q_lower_value(s, 29, p, DESIGN) == pytest.approx(float(exact), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("design", DESIGNS, ids=lambda d: d.compact())
+def test_q_functions_are_a_suffix_and_a_prefix_of_one_row(design):
+    # a stage-1 lower tail is the Bin(n1) cdf bit for bit, and at every
+    # outcome the two tails overlap in exactly the outcome's own term
+    for k in range(101):
+        p = k / 100
+        row = terminal_pmf(design, p)
+        for o in terminal_outcomes(design):
+            upper = q_value(o.s, o.m, p, design)
+            lower = q_lower_value(o.s, o.m, p, design)
+            if o.stage == 1:
+                assert lower == binom_cdf(o.s, design.n1, p)
+            assert upper + lower - row[o.s] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("design", DESIGNS, ids=lambda d: d.compact())
