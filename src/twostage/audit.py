@@ -271,19 +271,16 @@ def _rounds_to(candidate: float, reported: float, decimals: int) -> bool:
 def _analysis_state(record: TrialRecord) -> Optional[AnalysisState]:
     """The stage-2 analysis at the analysed sample size, on the design
     usable for adjusted inference there (``state.design``); None when the
-    record does not give one."""
+    record does not give one. No re-analysis reads the final bound a, so
+    the design takes a = a1 and needs no valid a from the record."""
     r = record
     if None in (r.a1, r.n1, r.n_analysis, r.s_analysis):
         return None
-    if r.n_analysis <= r.n1 or r.a1 >= r.n1:
-        return None
-    a = r.a if r.a is not None and r.a1 <= r.a < r.n_analysis else r.a1
     try:
         return AnalysisState(
-            design=TwoStageDesign(a1=r.a1, a=a, n1=r.n1, n=r.n_analysis),
+            design=TwoStageDesign(a1=r.a1, a=r.a1, n1=r.n1, n=r.n_analysis),
             s=r.s_analysis,
             m=r.n_analysis,
-            stage=2,
             s1=r.s1,
         )
     except ValueError:

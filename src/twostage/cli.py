@@ -125,8 +125,7 @@ def _add_state_flags(parser: argparse.ArgumentParser) -> None:
 
 def _state_from_args(args, targets: Optional[DesignTargets] = None) -> AnalysisState:
     design = TwoStageDesign.from_compact(args.design, targets=targets)
-    stage = 1 if args.m == design.n1 else 2
-    return AnalysisState(design=design, s=args.s, m=args.m, stage=stage, s1=args.s1)
+    return AnalysisState(design=design, s=args.s, m=args.m, s1=args.s1)
 
 
 def _oc_rows(design: TwoStageDesign, targets: DesignTargets) -> tuple[dict, list]:

@@ -9,12 +9,14 @@ interpretations of trial results.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .binomial import MAX_SAMPLE_SIZE, binom_pmf, binom_upper_tail
 from .design import TwoStageDesign, continuation_tail, terminal_pmf
+from .inference import AnalysisState
 
 
 @dataclass(frozen=True)
@@ -34,14 +36,8 @@ class DeviatedAnalysis:
                 f"analysis must use the planned n1={self.design.n1}, got {self.n1_realized}"
             )
         _check_n_an(self.design, self.n_an)
-        if not self.design.a1 < self.s1 <= self.design.n1:
-            raise ValueError(
-                f"continuation requires a1 < s1 <= n1, got s1={self.s1}"
-            )
-        if not self.s1 <= self.s_an <= self.n_an:
-            raise ValueError(
-                f"total successes must satisfy s1 <= s_an <= n_an, got s_an={self.s_an}"
-            )
+        # the stage-2 outcome at n_an, with s1 continuing the trial
+        AnalysisState(self.design, self.s_an, self.n_an, s1=self.s1)
 
 
 def _check_n_an(design: TwoStageDesign, n_an: int) -> None:
@@ -125,12 +121,7 @@ class InterpretationProbabilities:
     naive_at_least_p1_at_p1: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "naive_above_p0_at_p0": self.naive_above_p0_at_p0,
-            "naive_above_p0_at_p1": self.naive_above_p0_at_p1,
-            "naive_at_least_p1_at_p0": self.naive_at_least_p1_at_p0,
-            "naive_at_least_p1_at_p1": self.naive_at_least_p1_at_p1,
-        }
+        return dataclasses.asdict(self)
 
 
 def interpretation_probabilities(

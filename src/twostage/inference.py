@@ -38,12 +38,17 @@ ROOT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class AnalysisState:
-    """The data available at the final analysis of a two-stage trial."""
+    """The data available at the final analysis of a two-stage trial.
+
+    Construction raises ValueError unless (s, m) is a terminal outcome of
+    the analysis design and s1, if given, continues the trial with
+    s1 <= s, so every instance is valid.
+    """
 
     design: TwoStageDesign
     s: int
     m: int
-    stage: int
+    _: dataclasses.KW_ONLY
     s1: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -54,36 +59,25 @@ class AnalysisState:
             raise ValueError(
                 f"analysed sample size {self.m} exceeds the cap of {MAX_SAMPLE_SIZE}"
             )
-        if self.stage == 1:
-            if self.m != n1:
-                raise ValueError(f"stage-1 analysis must use m = n1 = {n1}, got {self.m}")
-            if not 0 <= self.s <= a1:
-                raise ValueError(
-                    f"stage-1 termination requires 0 <= s <= a1 = {a1}, got s={self.s}"
-                )
-        elif self.stage == 2:
-            if self.m <= n1:
-                raise ValueError(f"stage-2 analysis needs m > n1 = {n1}, got {self.m}")
-            if not a1 < self.s <= self.m:
-                raise ValueError(
-                    f"stage-2 termination requires a1 < s <= m, got s={self.s}, m={self.m}"
-                )
-        else:
-            raise ValueError(f"stage must be 1 or 2, got {self.stage}")
+        _check_outcome(self.s, self.m, self.analysis_design)
         if self.s1 is not None:
             if not a1 < self.s1 <= n1:
                 raise ValueError(f"stage-1 successes must satisfy a1 < s1 <= n1, got {self.s1}")
             if self.s1 > self.s:
                 raise ValueError(f"s1={self.s1} cannot exceed total successes s={self.s}")
 
+    @property
+    def stage(self) -> int:
+        return 1 if self.m == self.design.n1 else 2
+
     @cached_property
     def analysis_design(self) -> TwoStageDesign:
-        """The design with n replaced by the realised final sample size,
-        built once per state. No analysis of a realised outcome reads the
-        final bound a, so an a that the realised size cannot exceed is
-        replaced by a1, as the audit does."""
+        """The design with n replaced by the realised final sample size
+        m > n1, built once per state. No analysis of a realised outcome
+        reads the final bound a, so an a that the realised size cannot
+        exceed is replaced by a1."""
         design = self.design
-        if self.stage == 2 and self.m != design.n:
+        if self.m > design.n1 and self.m != design.n:
             if design.a >= self.m:
                 design = dataclasses.replace(design, a=design.a1)
             return design.with_final_n(self.m)
@@ -111,15 +105,7 @@ class EstimateSet:
     median_unbiased: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "naive": self.naive,
-            "bias_subtracted": self.bias_subtracted,
-            "bias_adjusted": self.bias_adjusted,
-            "umvue": self.umvue,
-            "umvcue": self.umvcue,
-            "conditional": self.conditional,
-            "median_unbiased": self.median_unbiased,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -141,7 +127,7 @@ class ConfidenceInterval:
         return self.low <= p <= self.upp
 
     def to_json_dict(self) -> dict:
-        return {"low": self.low, "upp": self.upp, "level": self.level, "method": self.method}
+        return dataclasses.asdict(self)
 
 
 def _check_level(level: float) -> float:
@@ -184,17 +170,14 @@ def _naive_procedure(s: int, m: int, design: TwoStageDesign) -> float:
     return s / m
 
 
-def estimator_bias(
-    estimator,
-    p: float,
-    design: TwoStageDesign,
-) -> tuple[float, float]:
-    """Expected value and bias of a point-estimation procedure.
-
-    ``estimator`` is either a procedure name ("naive", "umvue", ...) or a
-    callable (s, m, design) -> value defined on every terminal outcome.
-    """
-    fn = _PROCEDURES[estimator] if isinstance(estimator, str) else estimator
+def estimator_bias(estimator: str, p: float, design: TwoStageDesign) -> tuple[float, float]:
+    """Expected value and bias of the named point-estimation procedure
+    ("naive", "umvue" or "umvcue")."""
+    fn = _PROCEDURES.get(estimator)
+    if fn is None:
+        raise ValueError(
+            f"unknown estimator {estimator!r}; choose from {', '.join(_PROCEDURES)}"
+        )
     values = (fn(o.s, o.m, design) for o in terminal_outcomes(design))
     expected = _expectation(values, design, p)
     return expected, expected - p
@@ -503,7 +486,7 @@ def interval_for_outcome(
         return ci_wald(outcome.s, outcome.m, level)
     if key == "wilson":
         return ci_wilson(outcome.s, outcome.m, level)
-    state = AnalysisState(design=design, s=outcome.s, m=outcome.m, stage=outcome.stage)
+    state = AnalysisState(design=design, s=outcome.s, m=outcome.m)
     if key in ("jt", "jennison-turnbull"):
         return ci_jennison_turnbull(state, level)
     if key in ("midp", "mid-p"):
@@ -511,23 +494,14 @@ def interval_for_outcome(
     raise ValueError(f"unknown CI method {method!r}")
 
 
-def coverage(method, p: float, design: TwoStageDesign, level: float = 0.95) -> float:
-    """Exact probability that the method's interval contains p.
-
-    ``method`` is a CI method name or a callable
-    (outcome, design, level) -> ConfidenceInterval. Interval membership
-    uses closed endpoints.
-    """
-    if callable(method):
-        build = method
-    else:
-        def build(outcome, design_, level_):
-            return interval_for_outcome(method, outcome, design_, level_)
+def coverage(method: str, p: float, design: TwoStageDesign, level: float = 0.95) -> float:
+    """Exact probability that the named method's interval contains p.
+    Interval membership uses closed endpoints."""
     return min(
         1.0,
         math.fsum(
             prob
             for o, prob in zip(terminal_outcomes(design), terminal_pmf(design, p))
-            if build(o, design, level).contains(p)
+            if interval_for_outcome(method, o, design, level).contains(p)
         ),
     )

@@ -109,7 +109,7 @@ def test_criterion_4_decision_consistency(design):
     alpha_attained = reject_prob(design.targets.p0, design)
     exceptions = []
     for o in terminal_outcomes(design):
-        state = AnalysisState(design=design, s=o.s, m=o.m, stage=o.stage)
+        state = AnalysisState(design=design, s=o.s, m=o.m)
         rejects = o.stage == 2 and o.s > design.a
         if (p_value(state) <= alpha_attained) != rejects:
             exceptions.append((o.s, o.m))

@@ -121,6 +121,27 @@ def test_deviated_analysis_validation():
         DeviatedAnalysis(design=DESIGN, n_an=29, s1=3, s_an=4, n1_realized=12)
 
 
+@pytest.mark.parametrize(
+    "design",
+    [DESIGN, TwoStageDesign(a1=1, a=6, n1=4, n=9)],
+    ids=lambda d: d.compact(),
+)
+def test_deviated_analysis_accepts_exactly_the_continued_outcomes(design):
+    # the second design's a = 6 is at or above n_an = 5 and 6, which an
+    # analysis at those sizes must accept like any other n_an
+    a1, n1 = design.a1, design.n1
+    sizes = [*range(n1 - 1, n1 + 4), design.a, design.a + 1, design.n, design.n + 3]
+    for n_an in sizes:
+        for s1 in range(-1, n1 + 2):
+            for s_an in range(-1, n_an + 2):
+                accepted = n1 < n_an and a1 < s1 <= n1 and s1 <= s_an <= n_an
+                if accepted:
+                    DeviatedAnalysis(design=design, n_an=n_an, s1=s1, s_an=s_an)
+                else:
+                    with pytest.raises(ValueError):
+                        DeviatedAnalysis(design=design, n_an=n_an, s1=s1, s_an=s_an)
+
+
 def test_interpretation_probabilities_known_values():
     probs = interpretation_probabilities(DESIGN)
     assert probs.naive_above_p0_at_p0 == pytest.approx(0.2377336892486321, abs=1e-10)

@@ -64,8 +64,7 @@ DESIGNS = [
 
 
 def state(s, m, design=DESIGN):
-    stage = 1 if m == design.n1 else 2
-    return AnalysisState(design=design, s=s, m=m, stage=stage)
+    return AnalysisState(design=design, s=s, m=m)
 
 
 def q_oracle(s, m, p, design):
@@ -172,7 +171,7 @@ def test_bias_adjusted_target_is_the_naive_expectation_bit_for_bit(monkeypatch, 
         return solve_monotone_root(f, target, tol=tol)
 
     monkeypatch.setattr(inference, "solve_monotone_root", capture)
-    st_ = AnalysisState(design=design, s=design.a1 + 3, m=m, stage=2)
+    st_ = AnalysisState(design=design, s=design.a1 + 3, m=m)
     estimate_bias_adjusted(st_)
     (f,) = targets
     for p in [k / 49 for k in range(50)]:
@@ -231,7 +230,7 @@ def test_estimate_all_consistent_with_parts():
 
 def test_estimates_at_deviated_final_n():
     # the analysed sample size replaces the planned n throughout
-    st26 = AnalysisState(design=DESIGN, s=5, m=26, stage=2)
+    st26 = AnalysisState(design=DESIGN, s=5, m=26)
     assert estimate_umvue(st26) == pytest.approx(0.2506248264371008, abs=1e-12)
     shifted = DESIGN.with_final_n(26)
     assert estimate_umvue(st26) == pytest.approx(
@@ -248,21 +247,54 @@ def test_estimate_all_builds_the_analysis_design_once(monkeypatch):
         return with_final_n(self, n_final)
 
     monkeypatch.setattr(TwoStageDesign, "with_final_n", counting)
-    estimate_all(AnalysisState(design=DESIGN, s=5, m=26, stage=2))
+    estimate_all(AnalysisState(design=DESIGN, s=5, m=26))
     assert builds == [26]
 
 
 def test_analysis_state_validation():
     with pytest.raises(ValueError):
-        AnalysisState(design=DESIGN, s=5, m=10, stage=1)  # continued, not stopped
+        AnalysisState(design=DESIGN, s=5, m=10)  # continued, not stopped
     with pytest.raises(ValueError):
-        AnalysisState(design=DESIGN, s=1, m=29, stage=2)  # total below continuation
+        AnalysisState(design=DESIGN, s=1, m=29)  # total below continuation
     with pytest.raises(ValueError):
-        AnalysisState(design=DESIGN, s=30, m=29, stage=2)
+        AnalysisState(design=DESIGN, s=30, m=29)
     with pytest.raises(ValueError):
-        AnalysisState(design=DESIGN, s=3, m=9, stage=2)  # m below n1
+        AnalysisState(design=DESIGN, s=3, m=9)  # m below n1
     with pytest.raises(ValueError, match="cap"):
-        AnalysisState(design=DESIGN, s=6, m=10**6, stage=2)
+        AnalysisState(design=DESIGN, s=6, m=10**6)
+
+
+def per_stage_rule(design, s, m, stage):
+    """The per-stage rule AnalysisState applied to an explicit stage before
+    the stage was derived from m."""
+    if stage == 1:
+        return m == design.n1 and 0 <= s <= design.a1
+    return m > design.n1 and design.a1 < s <= m
+
+
+@pytest.mark.parametrize("design", DESIGNS, ids=lambda d: d.compact())
+def test_analysis_state_accepts_exactly_the_terminal_outcomes(design):
+    n1, n = design.n1, design.n
+    for m in (n1 - 1, n1, n1 + 1, n, n + 7):
+        stage = 1 if m == n1 else 2
+        for s in range(-1, m + 2):
+            if per_stage_rule(design, s, m, stage):
+                assert AnalysisState(design, s, m).stage == stage
+            else:
+                with pytest.raises(ValueError):
+                    AnalysisState(design, s, m)
+
+
+def test_analysis_state_takes_s1_by_keyword_only():
+    # a stage passed in the old fourth position must not be read as s1
+    with pytest.raises(TypeError):
+        AnalysisState(DESIGN, 6, 29, 2)
+    assert AnalysisState(DESIGN, 6, 29, s1=2).s1 == 2
+
+
+def test_estimator_bias_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown estimator 'mle'"):
+        estimator_bias("mle", 0.3, DESIGN)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +382,7 @@ def test_p_value_decision_consistency(design):
 
     alpha_attained = reject_prob(design.targets.p0, design)
     for o in terminal_outcomes(design):
-        st_o = AnalysisState(design=design, s=o.s, m=o.m, stage=o.stage)
+        st_o = AnalysisState(design=design, s=o.s, m=o.m)
         rejects = o.stage == 2 and o.s > design.a
         assert (p_value(st_o) <= alpha_attained) == rejects
 
@@ -457,7 +489,7 @@ def test_midp_nested_in_jt_across_outcomes():
     from twostage.design import terminal_outcomes
 
     for o in terminal_outcomes(DESIGN):
-        st_o = AnalysisState(design=DESIGN, s=o.s, m=o.m, stage=o.stage)
+        st_o = AnalysisState(design=DESIGN, s=o.s, m=o.m)
         jt = ci_jennison_turnbull(st_o)
         mp = ci_midp(st_o)
         assert jt.low <= mp.low + 1e-9
@@ -513,12 +545,3 @@ def test_coverage_matches_path_enumeration():
 def test_cp_coverage_conservative():
     for p in (0.05, 0.1, 0.3, 0.5, 0.9):
         assert coverage("CP", p, DESIGN) >= 0.95 - 1e-12
-
-
-def test_coverage_accepts_callable():
-    value = coverage(
-        lambda outcome, design, level: interval_for_outcome("CP", outcome, design, level),
-        0.3,
-        DESIGN,
-    )
-    assert value == pytest.approx(coverage("CP", 0.3, DESIGN), abs=1e-12)
