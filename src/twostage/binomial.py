@@ -23,16 +23,34 @@ from typing import Callable
 
 _STD_NORMAL = NormalDist()
 
-# Largest final (analysed) sample size the terminal-outcome kernel, the
-# deviation analyses and the audit accept. It bounds the work and memory of
-# one analysis: the kernel's exact path counts at this size take up to
-# about 1.5 s to build and 160 KB to keep (see design._log_counts).
+# Largest sample size the binomial kernel, the terminal-outcome kernel, the
+# design search's n_max, the deviation analyses and the audit accept. It
+# bounds the work and memory of one analysis: the kernel's exact path counts
+# at this size take up to about 1.5 s to build and 160 KB to keep (see
+# design._log_counts).
 MAX_SAMPLE_SIZE = 5000
+
+
+@lru_cache(maxsize=1)
+def _log_factorials() -> list[float]:
+    """lgamma(k + 1) = log k! for k = 0..MAX_SAMPLE_SIZE, built on first use.
+
+    One list of MAX_SAMPLE_SIZE + 1 floats, about 32 bytes each (list slot
+    and float): 160 KB, kept for the life of the process.
+    """
+    return [math.lgamma(k + 1) for k in range(MAX_SAMPLE_SIZE + 1)]
 
 
 def binom_pmf_row(m: int, p: float, start: int = 0, stop: int | None = None) -> list[float]:
     """P(X = s) for X ~ Bin(m, p) and s in range(start, stop), with
-    0 <= start; stop defaults to m + 1.
+    0 <= start <= stop <= m + 1; stop defaults to m + 1. Raises ValueError
+    for m above MAX_SAMPLE_SIZE or terms outside 0..m.
+
+    Each term is exp(log m! - log s! - log (m - s)! + s log p
+    + (m - s) log(1 - p)), added left to right, with the log-factorials read
+    from one table that does not depend on p. So an evaluation at a new p
+    costs one exp per term, and each term equals the one computed with
+    lgamma calls bit for bit.
 
     binom_pmf caches single terms of it; the row itself is not cached.
     The terminal-outcome kernel and the tails are mostly taken at root-solve
@@ -41,13 +59,15 @@ def binom_pmf_row(m: int, p: float, start: int = 0, stop: int | None = None) -> 
     """
     _check_trial(m, p)
     stop = m + 1 if stop is None else stop
+    if start < 0 or stop > m + 1:
+        raise ValueError(f"terms {start}..{stop - 1} are outside 0..{m}")
     if p == 0.0 or p == 1.0:
         mode = 0 if p == 0.0 else m
         return [1.0 if s == mode else 0.0 for s in range(start, stop)]
-    log_m, log_p, log_q = math.lgamma(m + 1), math.log(p), math.log1p(-p)
-    lgamma, exp = math.lgamma, math.exp
+    lf = _log_factorials()
+    lf_m, log_p, log_q, exp = lf[m], math.log(p), math.log1p(-p), math.exp
     return [
-        exp(log_m - lgamma(s + 1) - lgamma(m - s + 1) + s * log_p + (m - s) * log_q)
+        exp(lf_m - lf[s] - lf[m - s] + s * log_p + (m - s) * log_q)
         for s in range(start, stop)
     ]
 
@@ -179,5 +199,7 @@ def normal_quantile(q: float) -> float:
 def _check_trial(m: int, p: float) -> None:
     if m < 0:
         raise ValueError(f"sample size must be non-negative, got {m}")
+    if m > MAX_SAMPLE_SIZE:
+        raise ValueError(f"sample size {m} exceeds the cap of {MAX_SAMPLE_SIZE}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"success probability must lie in [0, 1], got {p}")

@@ -398,8 +398,10 @@ def _frontier(
     that choice maximises power for the pair. The first n yielded is the
     minimax n, the minimum over (en_p0, n) is the null-optimal design, and
     every n left out is strictly dominated by a smaller n with a smaller
-    EN, so it lies off the admissible hull. Raises InfeasibleDesignError,
-    naming the binding constraint, if no n <= n_max has a feasible design.
+    EN, so it lies off the admissible hull. Raises ValueError for an n_max
+    below 2 or above MAX_SAMPLE_SIZE, before it builds any row, and
+    InfeasibleDesignError, naming the binding constraint, if no n <= n_max
+    has a feasible design.
 
     Every float that decides feasibility or EN is summed in the same order
     as an n1 x n matrix of cumulative sums would be, and each prune below
@@ -412,6 +414,8 @@ def _frontier(
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
+    if n_max > MAX_SAMPLE_SIZE:
+        raise ValueError(f"n_max {n_max} exceeds the cap of {MAX_SAMPLE_SIZE}")
     p0, p1, alpha = targets.p0, targets.p1, targets.alpha
     power = 1.0 - targets.beta
     # rows[m] holds the Bin(m, p0) and Bin(m, p1) tables, built when first

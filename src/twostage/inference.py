@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .binomial import (
     MAX_SAMPLE_SIZE,
@@ -239,20 +239,49 @@ def estimate_umvcue(state: AnalysisState) -> float:
     return float(umvcue_fraction(state.s, state.m, state.analysis_design))
 
 
-def _log_continuation_prob(p: float, design: TwoStageDesign) -> float:
-    return math.log(binom_upper_tail(design.a1 + 1, design.n1, p))
+def _log_continuation_prob(p: float, a1: int, n1: int) -> float:
+    return math.log(binom_upper_tail(a1 + 1, n1, p))
+
+
+@lru_cache(maxsize=1)
+def _mle_grid() -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """The conditional MLE's 401 scan points x on [1e-12, 1 - 1e-12], with
+    log x and log1p(-x) at each: 3 tuples of 401 floats, about 40 KB, built
+    on first use."""
+    lo, hi = 1e-12, 1.0 - 1e-12
+    grid = tuple(lo + (hi - lo) * k / 400 for k in range(401))
+    return grid, tuple(map(math.log, grid)), tuple(math.log1p(-x) for x in grid)
+
+
+@lru_cache(maxsize=512)
+def _log_continuation_row(a1: int, n1: int) -> Sequence[float]:
+    """log P(X1 > a1) for X1 ~ Bin(n1, x) at each scan point x of _mle_grid,
+    so each stage-1 pair (a1, n1) takes its 401 tails once. At most 512
+    rows of 401 doubles are kept, 3.3 KB each: 1.7 MB in all."""
+    # imported here, not at module level: array is a shared library, and
+    # importing the CLI should not load it
+    from array import array
+
+    return array("d", [_log_continuation_prob(x, a1, n1) for x in _mle_grid()[0]])
 
 
 def estimate_conditional(state: AnalysisState) -> float:
-    """Maximiser of the log-likelihood conditional on continuation."""
+    """Maximiser of the log-likelihood conditional on continuation.
+
+    The scan that brackets the mode reads the p-independent parts of the
+    log-likelihood at its 401 fixed points from _mle_grid and
+    _log_continuation_row, so each scan value is the same float the
+    log-likelihood gives there. ROADMAP item 2 (the conditional MLE as a
+    root of one kernel sum) deletes the grid and its row cache.
+    """
     if state.stage == 1:
         return estimate_naive(state.s, state.m)
     d = state.analysis_design
-    s, n = state.s, state.m
+    s, n, a1, n1 = state.s, state.m, d.a1, d.n1
     if s == n:
         # likelihood is increasing up to the boundary
         return 1.0
-    if s == d.a1 + 1:
+    if s == a1 + 1:
         # dividing p^s (1-p)^(n-s) by P(X1 > a1) gives
         # L(p) = (1-p)^(n-n1) / sum_j C(n1, a1+1+j) (p/(1-p))^j, a falling
         # numerator over a non-decreasing denominator: strictly decreasing
@@ -260,16 +289,22 @@ def estimate_conditional(state: AnalysisState) -> float:
         return 0.0
 
     def loglik(p: float) -> float:
-        return s * math.log(p) + (n - s) * math.log1p(-p) - _log_continuation_prob(p, d)
+        return s * math.log(p) + (n - s) * math.log1p(-p) - _log_continuation_prob(p, a1, n1)
 
-    return _golden_max(loglik, 1e-12, 1.0 - 1e-12, tol=ROOT_TOL)
+    grid, log_x, log1m_x = _mle_grid()
+    scanned = [
+        s * lx + (n - s) * l1x - lc
+        for lx, l1x, lc in zip(log_x, log1m_x, _log_continuation_row(a1, n1))
+    ]
+    return _golden_max(loglik, grid, scanned, tol=ROOT_TOL)
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximiser, with a coarse scan to bracket the mode."""
-    grid = [lo + (hi - lo) * k / 400 for k in range(401)]
-    vals = [f(x) for x in grid]
-    k = max(range(len(grid)), key=vals.__getitem__)
+def _golden_max(
+    f: Callable[[float], float], grid: Sequence[float], scanned: list[float], tol: float
+) -> float:
+    """Golden-section maximiser of f, bracketed by the largest of the
+    values ``scanned`` of f on the increasing ``grid``."""
+    k = max(range(len(grid)), key=scanned.__getitem__)
     a = grid[max(0, k - 1)]
     b = grid[min(len(grid) - 1, k + 1)]
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -301,6 +336,8 @@ def _check_outcome(s: int, m: int, d: TwoStageDesign) -> None:
             raise ValueError(
                 f"(s={s}, m={m}) is not a stage-2 terminal outcome of the design"
             )
+    elif m < d.n1:
+        raise ValueError(f"analysis sample size {m} is below n1={d.n1}")
     else:
         raise ValueError(
             f"analysis sample size {m} is neither n1={d.n1} nor the final size {d.n}"
@@ -411,12 +448,30 @@ def ci_jennison_turnbull(state: AnalysisState, level: float = 0.95) -> Confidenc
     return ConfidenceInterval(low=low_val, upp=upp_val, level=level, method="JT")
 
 
+@lru_cache(maxsize=1024)
+def _umvue_ranks(a1: int, n1: int, n: int) -> Sequence[int]:
+    """Dense rank of the UMVUE of each terminal outcome of the design with
+    stage-1 bound a1/n1 and final size n, indexed by the outcome's total s.
+    Equal estimates share a rank and a larger estimate has a larger rank,
+    so comparing ranks orders outcomes as comparing the exact fractions
+    does. The UMVUE does not read the final bound a, so the design is keyed
+    without it. At most 1024 rows of at most MAX_SAMPLE_SIZE + 1 2-byte
+    ints are kept: 10 KB each at the cap, 10 MB in all, and under 200 bytes
+    each for phase II sizes."""
+    from array import array  # see _log_continuation_row
+
+    design = TwoStageDesign(a1=a1, a=a1, n1=n1, n=n)
+    estimates = [umvue_fraction(o.s, o.m, design) for o in terminal_outcomes(design)]
+    rank = {value: r for r, value in enumerate(sorted(set(estimates)))}
+    return array("H", [rank[value] for value in estimates])
+
+
 def ci_midp(state: AnalysisState, level: float = 0.95) -> ConfidenceInterval:
     """Mid-p interval under the UMVUE ordering of terminal outcomes."""
     alpha_ci = _check_level(level)
     d = state.analysis_design
-    observed = umvue_fraction(state.s, state.m, d)
-    ranks = [umvue_fraction(o.s, o.m, d) for o in terminal_outcomes(d)]
+    ranks = _umvue_ranks(d.a1, d.n1, d.n)
+    observed = ranks[state.s]
     weights = [0.0 if r < observed else 0.5 if r == observed else 1.0 for r in ranks]
 
     def tail(p: float) -> float:

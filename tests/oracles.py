@@ -282,3 +282,86 @@ def ump_first_n(p0, p1, alpha, beta, n_max):
         if power >= 1 - beta:
             return n
     return None
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity references. Unlike the oracles above, these keep earlier
+# package code as it was, float operation for float operation, so that a
+# faster path can be checked to give the same floats, not merely close ones.
+
+
+def pmf_row_lgamma_oracle(m, p, start=0, stop=None):
+    """binom_pmf_row with log C(m, s) from lgamma calls at every term."""
+    stop = m + 1 if stop is None else stop
+    if p == 0.0 or p == 1.0:
+        mode = 0 if p == 0.0 else m
+        return [1.0 if s == mode else 0.0 for s in range(start, stop)]
+    log_m, log_p, log_q = math.lgamma(m + 1), math.log(p), math.log1p(-p)
+    lgamma, exp = math.lgamma, math.exp
+    return [
+        exp(log_m - lgamma(s + 1) - lgamma(m - s + 1) + s * log_p + (m - s) * log_q)
+        for s in range(start, stop)
+    ]
+
+
+def conditional_mle_scan_oracle(s, n, a1, n1, tol=1e-10):
+    """The conditional MLE of the stage-2 outcome (s, n) of a design with
+    stage-1 bound a1/n1: the log-likelihood evaluated afresh at each of 401
+    grid points on [1e-12, 1 - 1e-12], then golden-section search around
+    the best of them. The continuation probability is summed from
+    pmf_row_lgamma_oracle, as binom_upper_tail sums its row."""
+    if s == n:
+        return 1.0
+    if s == a1 + 1:
+        return 0.0
+
+    def loglik(p):
+        tail = min(1.0, math.fsum(pmf_row_lgamma_oracle(n1, p, a1 + 1)))
+        return s * math.log(p) + (n - s) * math.log1p(-p) - math.log(tail)
+
+    lo, hi = 1e-12, 1.0 - 1e-12
+    grid = [lo + (hi - lo) * k / 400 for k in range(401)]
+    vals = [loglik(x) for x in grid]
+    k = max(range(len(grid)), key=vals.__getitem__)
+    a = grid[max(0, k - 1)]
+    b = grid[min(len(grid) - 1, k + 1)]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    e = a + inv_phi * (b - a)
+    fc, fe = loglik(c), loglik(e)
+    while b - a > tol:
+        if fc >= fe:
+            b, e, fe = e, c, fc
+            c = b - inv_phi * (b - a)
+            fc = loglik(c)
+        else:
+            a, c, fc = c, e, fe
+            e = a + inv_phi * (b - a)
+            fe = loglik(e)
+    x = 0.5 * (a + b)
+    return min(1.0, max(0.0, x))
+
+
+def midp_limits_oracle(s, design, level=0.95, tol=1e-10):
+    """(low, upp) of the mid-p interval of the terminal outcome with total
+    s, with every outcome's UMVUE fraction compared with the observed one
+    on each call. The tail is the package's terminal_pmf row weighted and
+    solved by the package's root solver, as ci_midp does."""
+    from operator import mul
+
+    from twostage.binomial import solve_monotone_root
+    from twostage.design import terminal_outcomes, terminal_pmf
+    from twostage.inference import umvue_fraction
+
+    outcomes = list(terminal_outcomes(design))
+    observed = umvue_fraction(s, outcomes[s].m, design)
+    ranks = [umvue_fraction(o.s, o.m, design) for o in outcomes]
+    weights = [0.0 if r < observed else 0.5 if r == observed else 1.0 for r in ranks]
+
+    def tail(p):
+        return math.fsum(map(mul, weights, terminal_pmf(design, p)))
+
+    alpha_ci = 1.0 - level
+    low = solve_monotone_root(tail, alpha_ci / 2.0, tol=tol)
+    upp = solve_monotone_root(tail, 1.0 - alpha_ci / 2.0, tol=tol)
+    return (0.0 if low.out_of_bracket else low.value, 1.0 if upp.out_of_bracket else upp.value)

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom as scipy_binom
 
-from oracles import binom_tails_mp, exact_stagewise_tails
+from oracles import binom_tails_mp, exact_stagewise_tails, pmf_row_lgamma_oracle
 from twostage.binomial import (
+    MAX_SAMPLE_SIZE,
     binom_cdf,
     binom_pmf,
     binom_pmf_row,
@@ -56,6 +57,37 @@ def test_pmf_row_equals_scalar_pmf(m, p):
     start, stop = m // 3, m - m // 4
     assert binom_pmf_row(m, p, start, stop) == [binom_pmf(s, m, p) for s in range(start, stop)]
     assert binom_pmf_row(m, p, start) == [binom_pmf(s, m, p) for s in range(start, m + 1)]
+
+
+@pytest.mark.parametrize("m", [0, 1, 40, 1000, MAX_SAMPLE_SIZE])
+@pytest.mark.parametrize("p", [1e-300, 1e-4, 0.3137, 0.5, 1 - 1e-12])
+def test_pmf_row_is_bit_identical_to_lgamma_terms(m, p):
+    # the log-factorial table holds the same lgamma values the terms used to
+    # compute, and each term adds them in the same order
+    assert binom_pmf_row(m, p) == pmf_row_lgamma_oracle(m, p)
+    start, stop = m // 3, m - m // 4
+    assert binom_pmf_row(m, p, start, stop) == pmf_row_lgamma_oracle(m, p, start, stop)
+
+
+def test_kernel_rejects_a_sample_size_above_the_cap():
+    m = MAX_SAMPLE_SIZE + 1
+    for call in (
+        lambda: binom_pmf_row(m, 0.3),
+        lambda: binom_pmf_row(m, 0.0),
+        lambda: binom_pmf(1, m, 0.3),
+        lambda: binom_cdf(1, m, 0.3),
+        lambda: binom_upper_tail(1, m, 0.3),
+    ):
+        with pytest.raises(ValueError, match="cap"):
+            call()
+    assert len(binom_pmf_row(MAX_SAMPLE_SIZE, 0.3)) == MAX_SAMPLE_SIZE + 1
+
+
+def test_pmf_row_rejects_terms_outside_the_row():
+    for start, stop in ((-1, 5), (0, 12), (11, 12)):
+        with pytest.raises(ValueError, match="outside 0..10"):
+            binom_pmf_row(10, 0.3, start, stop)
+    assert binom_pmf_row(10, 0.3, 4, 4) == []
 
 
 def test_pmf_exact_fraction_oracle():

@@ -80,6 +80,22 @@ def test_design_small_nmax_is_invalid_input_for_every_criterion(capsys):
         assert err.startswith("INVALID_INPUT:")
 
 
+def test_design_nmax_above_the_cap_is_invalid_input(capsys, monkeypatch):
+    # rejected before the search builds its first pmf table
+    def never(*args, **kwargs):
+        raise AssertionError("design search started above the sample-size cap")
+
+    monkeypatch.setattr("twostage.design._tables", never)
+    for criterion in ("optimal", "minimax", "admissible"):
+        status, out, err = run(
+            capsys, "design", "--p0", "0.1", "--p1", "0.3", "--alpha", "0.05",
+            "--beta", "0.2", "--criterion", criterion, "--nmax", "1000000000",
+        )
+        assert status == 2
+        assert out == ""
+        assert err == "INVALID_INPUT: n_max 1000000000 exceeds the cap of 5000\n"
+
+
 def test_oc_requires_targets(capsys):
     status, _, err = run(capsys, "oc", "--design", "1/10,5/29")
     assert status == 2
@@ -146,6 +162,12 @@ def test_analysis_at_a_realised_size_not_above_a(capsys, command):
     status, want, _ = run(capsys, command[0], "--design", "9/27,9/30", *command[1:], *outcome)
     assert status == 0
     assert out == want
+
+
+def test_analysis_below_n1_names_the_rule(capsys):
+    status, out, err = run(capsys, "estimate", "--design", "1/10,5/29", "--s", "3", "--m", "9")
+    assert (status, out) == (2, "")
+    assert err == "INVALID_INPUT: analysis sample size 9 is below n1=10\n"
 
 
 def test_ci_methods(capsys):
@@ -441,3 +463,16 @@ def test_cli_import_does_not_load_numpy():
 def test_cli_import_builds_no_parser():
     code = "import twostage.cli as c; print(c._parser.cache_info().currsize)"
     assert _fresh_interpreter(code) == "0"
+
+
+def test_cli_import_builds_no_p_independent_table():
+    # the log-factorial table and the inference caches, and the array module
+    # that stores their rows, are loaded on first use, so a command that
+    # never reads them does not pay for them
+    code = (
+        "import sys, twostage.cli\n"
+        "from twostage import binomial as b, inference as i\n"
+        "caches = (b._log_factorials, i._mle_grid, i._log_continuation_row, i._umvue_ranks)\n"
+        "print([c.cache_info().currsize for c in caches], 'array' in sys.modules)"
+    )
+    assert _fresh_interpreter(code) == "[0, 0, 0, 0] False"

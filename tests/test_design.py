@@ -397,7 +397,7 @@ def test_tie_breaks_when_en_equals_n1():
 
 
 def test_minimax_search_builds_only_the_rows_it_reads():
-    assert search_designs(TARGETS, "minimax", n_max=10_000) == search_designs(
+    assert search_designs(TARGETS, "minimax", n_max=MAX_SAMPLE_SIZE) == search_designs(
         TARGETS, "minimax", n_max=40
     )
 
@@ -454,10 +454,30 @@ def test_null_optimal_search_stops_after_its_optimum(monkeypatch):
 
     monkeypatch.setattr("twostage.design._tables", recording)
     # the optimum is 1/10, 5/29 with EN(p0) 15.0; the walk ends at n = 36
-    found = search_designs(TARGETS, "null-optimal", n_max=10_000)
+    found = search_designs(TARGETS, "null-optimal", n_max=MAX_SAMPLE_SIZE)
     assert found.compact() == "1/10, 5/29"
     assert max(built) < 36
-    assert admissible_set(TARGETS, n_max=10_000) == admissible_set(TARGETS, n_max=40)
+    assert admissible_set(TARGETS, n_max=MAX_SAMPLE_SIZE) == admissible_set(TARGETS, n_max=40)
+
+
+def test_search_rejects_an_n_max_above_the_cap_before_building_a_row(monkeypatch):
+    built = []
+    tables = _tables
+
+    def recording(m, p, cdf):
+        built.append(m)
+        return tables(m, p, cdf)
+
+    monkeypatch.setattr("twostage.design._tables", recording)
+    for search in (
+        lambda n_max: search_designs(TARGETS, "null-optimal", n_max=n_max),
+        lambda n_max: search_designs(TARGETS, "minimax", n_max=n_max),
+        lambda n_max: admissible_set(TARGETS, n_max=n_max),
+    ):
+        for n_max in (MAX_SAMPLE_SIZE + 1, 10**9):
+            with pytest.raises(ValueError, match="cap"):
+                search(n_max)
+    assert built == []
 
 
 def test_targets_validation():

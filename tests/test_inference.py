@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from scipy.stats import binom as scipy_binom
 from scipy.stats import f as f_dist
 
-from oracles import stage_paths, terminal_probs
+from oracles import (
+    conditional_mle_scan_oracle,
+    midp_limits_oracle,
+    stage_paths,
+    terminal_probs,
+)
 from twostage import inference
 from twostage.binomial import binom_cdf, solve_monotone_root
 from twostage.design import (
@@ -212,6 +217,20 @@ def test_conditional_estimate_exact_at_smallest_stage2_outcome(text):
     assert estimate_conditional(state(design.a1 + 1, design.n, design)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "design, m",
+    [(d, d.n) for d in DESIGNS] + [(DESIGN, 26), (DESIGNS[2], 50)],
+    ids=lambda v: v.compact() if isinstance(v, TwoStageDesign) else str(v),
+)
+def test_conditional_estimate_is_bit_identical_to_the_full_scan(design, m):
+    # the scan reads log x, log1p(-x) and the continuation row from tables
+    # built once; every stage-2 outcome must give the float a fresh scan gives
+    for s in range(design.a1 + 1, m + 1):
+        assert estimate_conditional(state(s, m, design)) == conditional_mle_scan_oracle(
+            s, m, design.a1, design.n1
+        ), (s, m)
+
+
 def test_median_unbiased():
     est = estimate_median_unbiased(state(6, 29))
     assert est.value == pytest.approx(0.2146808837132994, abs=1e-8)
@@ -258,8 +277,8 @@ def test_analysis_state_validation():
         AnalysisState(design=DESIGN, s=1, m=29)  # total below continuation
     with pytest.raises(ValueError):
         AnalysisState(design=DESIGN, s=30, m=29)
-    with pytest.raises(ValueError):
-        AnalysisState(design=DESIGN, s=3, m=9)  # m below n1
+    with pytest.raises(ValueError, match="analysis sample size 9 is below n1=10"):
+        AnalysisState(design=DESIGN, s=3, m=9)
     with pytest.raises(ValueError, match="cap"):
         AnalysisState(design=DESIGN, s=6, m=10**6)
 
@@ -318,6 +337,7 @@ def test_q_value_matches_oracle():
         (1, 29, "not a stage-2 terminal outcome"),
         (30, 29, "not a stage-2 terminal outcome"),
         (5, 20, "neither n1=10 nor the final size 29"),
+        (3, 9, "analysis sample size 9 is below n1=10"),
     ],
 )
 def test_q_functions_reject_the_same_non_terminal_outcomes(s, m, message):
@@ -494,6 +514,33 @@ def test_midp_nested_in_jt_across_outcomes():
         mp = ci_midp(st_o)
         assert jt.low <= mp.low + 1e-9
         assert mp.upp <= jt.upp + 1e-9
+
+
+# a1 = n1 - 1: every continuing path has s1 = n1, so every stage-2 outcome
+# has UMVUE 1 and they all share one rank
+TIED = TwoStageDesign(a1=2, a=4, n1=3, n=8)
+
+
+def test_umvue_ranks_are_dense_and_share_ties():
+    assert list(inference._umvue_ranks(TIED.a1, TIED.n1, TIED.n)) == [0, 1, 2] + [3] * 6
+    ranks = inference._umvue_ranks(DESIGN.a1, DESIGN.n1, DESIGN.n)
+    fractions = [umvue_fraction(o.s, o.m, DESIGN) for o in terminal_outcomes(DESIGN)]
+    assert sorted(set(ranks)) == list(range(len(set(fractions))))
+    for i, j in zip(range(DESIGN.n + 1), range(1, DESIGN.n + 1)):
+        assert (ranks[i] < ranks[j]) == (fractions[i] < fractions[j])
+        assert (ranks[i] == ranks[j]) == (fractions[i] == fractions[j])
+
+
+@pytest.mark.parametrize(
+    "design, m",
+    [(DESIGN, 29), (DESIGN, 26), (DESIGNS[2], 43), (TIED, 8), (TIED, 6)],
+    ids=lambda v: v.compact() if isinstance(v, TwoStageDesign) else str(v),
+)
+def test_midp_is_bit_identical_to_fractions_compared_per_call(design, m):
+    for o in terminal_outcomes(design if m == design.n else design.with_final_n(m)):
+        st_o = state(o.s, o.m, design)
+        ci = ci_midp(st_o, 0.9)
+        assert (ci.low, ci.upp) == midp_limits_oracle(o.s, st_o.analysis_design, 0.9), o
 
 
 def test_interval_properties_all_methods():
