@@ -18,7 +18,7 @@ from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 from typing import Iterable, Optional, TextIO, Union
 
 from .binomial import MAX_SAMPLE_SIZE
-from .design import DesignTargets, TerminalOutcome, TwoStageDesign
+from .design import DesignTargets, TwoStageDesign
 from .deviation import reject_prob_ek, reject_prob_retained
 from .inference import (
     AnalysisState,
@@ -348,9 +348,8 @@ def check_ci_consistency(record: TrialRecord) -> ConsistencyResult:
     }
     state = _analysis_state(record)
     if state is not None:
-        outcome = TerminalOutcome(s=s, stage=2, m=m)
         for method in ADJUSTED_CIS:
-            candidates[method] = interval_for_outcome(method, outcome, state.design, level)
+            candidates[method] = interval_for_outcome(method, s, state.analysis_design, level)
     matched = {
         name
         for name, ci in candidates.items()

@@ -34,7 +34,6 @@ from .audit import (
 from .design import (
     DesignTargets,
     InfeasibleDesignError,
-    TerminalOutcome,
     TwoStageDesign,
     admissible_set,
     operating_characteristics,
@@ -202,8 +201,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_ci(args) -> int:
     state = _state_from_args(args)
-    outcome = TerminalOutcome(s=state.s, stage=state.stage, m=state.m)
-    ci = interval_for_outcome(args.method, outcome, state.design, args.level)
+    ci = interval_for_outcome(args.method, state.s, state.analysis_design, args.level)
     payload = {
         "s": args.s,
         "m": args.m,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, repeat
 from operator import add, mul
-from typing import Iterator, Literal, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .binomial import MAX_SAMPLE_SIZE, binom_cdf, binom_pmf_row
 
@@ -118,6 +118,13 @@ class TwoStageDesign:
             )
         return cls(a1=data["a1"], a=data["a"], n1=data["n1"], n=data["n"], targets=targets)
 
+    def size_at(self, s: int) -> int:
+        """The sample size at which a trial with s total successes ends: n1
+        if s <= a1 (it stops for futility), otherwise n. Each total s in
+        0..n names one terminal outcome (s, size_at(s)), and the stagewise
+        order of the outcomes is the order of s."""
+        return self.n1 if s <= self.a1 else self.n
+
     def with_targets(self, targets: DesignTargets) -> "TwoStageDesign":
         return dataclasses.replace(self, targets=targets)
 
@@ -126,15 +133,6 @@ class TwoStageDesign:
         if n_final <= self.n1:
             raise ValueError(f"final sample size {n_final} must exceed n1={self.n1}")
         return dataclasses.replace(self, n=n_final)
-
-
-@dataclass(frozen=True)
-class TerminalOutcome:
-    """A stopping state: s successes at sample size m in the given stage."""
-
-    s: int
-    stage: Literal[1, 2]
-    m: int
 
 
 @dataclass(frozen=True)
@@ -150,26 +148,15 @@ class OperatingCharacteristics:
         return dataclasses.asdict(self)
 
 
-def terminal_outcomes(design: TwoStageDesign) -> Iterator[TerminalOutcome]:
-    """All terminal outcomes of the design in stagewise order, which is the
-    order of their totals s = 0..n."""
-    for s in range(design.a1 + 1):
-        yield TerminalOutcome(s=s, stage=1, m=design.n1)
-    for s in range(design.a1 + 1, design.n + 1):
-        yield TerminalOutcome(s=s, stage=2, m=design.n)
-
-
 def terminal_pmf(
     design: TwoStageDesign, p: float, n_final: Optional[int] = None
 ) -> list[float]:
     """Exact distribution of the design's terminal outcomes under p.
 
     ``row[s]`` is P(the trial ends with s total successes) for
-    s = 0..n_final: it stops at stage 1 for s <= a1 and ends stage 2 for
-    s > a1, so each total names one terminal outcome and the stagewise
-    order is the order of s. Rejection probabilities, q-values, interval
-    tails, bias and coverage are all prefixes, suffixes or weighted sums of
-    this one row.
+    s = 0..n_final, which it does at sample size TwoStageDesign.size_at(s).
+    Rejection probabilities, q-values, interval tails, bias and coverage are
+    all prefixes, suffixes or weighted sums of this one row.
 
     Every path that continues and ends with s successes has probability
     p^s (1 - p)^(n_final - s), so row[s] = c_s p^s (1 - p)^(n_final - s)
@@ -246,7 +233,7 @@ def terminal_distribution(
             raise ValueError(f"successes {s} exceed final sample size {nf}")
     else:
         raise ValueError(f"stage must be 1 or 2, got {stage}")
-    if s < 0 or (s <= design.a1) != (stage == 1):
+    if s < 0 or (design.size_at(s) == design.n1) != (stage == 1):
         return 0.0
     return terminal_pmf(design, p, n_final if stage == 2 else None)[s]
 
@@ -503,12 +490,13 @@ def _frontier(
                 del rows[m]
     if bound == math.inf:
         # R0 is smallest at a1 = n1 - 1, a = n - 1, where it is the one
-        # term pmf1[n1] * sf2[n2], and sf2[n2] is pmf2[n2] clipped at 1.0
+        # term pmf1[n1] * sf2[n2], and sf2[n2] is pmf2[n2] clipped at 1.0.
+        # Multiplying by a non-negative float is monotone, so the smallest
+        # clipped sf2 over n2 <= n_max - n1 decides each n1: O(n_max).
         last = [binom_pmf_row(m, p0, m)[0] for m in range(n_max)]
+        prefix_min = list(accumulate((min(x, 1.0) for x in last), min))
         alpha_ok = any(
-            last[n1] * min(last[n - n1], 1.0) <= alpha
-            for n in range(2, n_max + 1)
-            for n1 in range(1, n)
+            last[n1] * prefix_min[n_max - n1] <= alpha for n1 in range(1, n_max)
         )
         constraint = "power" if alpha_ok else "type-I error"
         raise InfeasibleDesignError(

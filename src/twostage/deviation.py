@@ -140,15 +140,17 @@ def interpretation_probabilities(
         p0 = design.targets.p0 if p0 is None else p0
         p1 = design.targets.p1 if p1 is None else p1
 
-    # the naive estimate of the outcome with total s
-    naive = [s / (design.n1 if s <= design.a1 else n_an) for s in range(n_an + 1)]
+    # the design as analysed at n_an (no probability here reads a), and the
+    # naive estimate of its outcome with total s
+    analysed = dataclasses.replace(design, a=design.a1, n=n_an)
+    naive = [s / analysed.size_at(s) for s in range(n_an + 1)]
 
     def prob(indicator, row: list[float]) -> float:
         return min(1.0, math.fsum(pr for est, pr in zip(naive, row) if indicator(est)))
 
     above_p0 = lambda est: est > p0
     at_least_p1 = lambda est: est >= p1
-    at_p0, at_p1 = terminal_pmf(design, p0, n_an), terminal_pmf(design, p1, n_an)
+    at_p0, at_p1 = terminal_pmf(analysed, p0), terminal_pmf(analysed, p1)
     return InterpretationProbabilities(
         naive_above_p0_at_p0=prob(above_p0, at_p0),
         naive_above_p0_at_p1=prob(above_p0, at_p1),

@@ -20,18 +20,13 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .binomial import (
     MAX_SAMPLE_SIZE,
+    _log_factorials,
     binom_cdf,
     binom_upper_tail,
     normal_quantile,
     solve_monotone_root,
 )
-from .design import (
-    TerminalOutcome,
-    TwoStageDesign,
-    continuation_tail,
-    terminal_outcomes,
-    terminal_pmf,
-)
+from .design import TwoStageDesign, continuation_tail, terminal_pmf
 
 ROOT_TOL = 1e-10
 
@@ -154,11 +149,12 @@ def estimate_naive(s: int, m: int) -> float:
 
 
 def _expectation(values: Iterable[float], design: TwoStageDesign, p: float) -> float:
-    """Sum of values[k] * P(outcome k) over the terminal outcomes under p.
+    """Sum of values[s] * P(the trial ends with total s) over s = 0..n
+    under p.
 
-    ``values`` follows the order of terminal_outcomes and depends only on
-    the outcome, so a root solve builds it once and each evaluation costs
-    one terminal_pmf call. The outcome probabilities are taken before the
+    ``values`` is indexed by the total s and depends only on the outcome,
+    so a root solve builds it once and each evaluation costs one
+    terminal_pmf call. The outcome probabilities are taken before the
     values are read, so a design above the sample-size cap raises before
     a lazy ``values`` computes anything. fsum rounds the exact sum of the
     products once, so the result does not depend on their order.
@@ -178,7 +174,7 @@ def estimator_bias(estimator: str, p: float, design: TwoStageDesign) -> tuple[fl
         raise ValueError(
             f"unknown estimator {estimator!r}; choose from {', '.join(_PROCEDURES)}"
         )
-    values = (fn(o.s, o.m, design) for o in terminal_outcomes(design))
+    values = (fn(s, design.size_at(s), design) for s in range(design.n + 1))
     expected = _expectation(values, design, p)
     return expected, expected - p
 
@@ -197,7 +193,7 @@ def estimate_bias_adjusted(state: AnalysisState) -> Estimate:
     """The p solving p = naive - Bias(naive | p), i.e. E(naive | p) = naive."""
     d = state.analysis_design
     naive = estimate_naive(state.s, state.m)
-    values = [_naive_procedure(o.s, o.m, d) for o in terminal_outcomes(d)]
+    values = [_naive_procedure(s, d.size_at(s), d) for s in range(d.n + 1)]
     root = solve_monotone_root(lambda p: _expectation(values, d, p), naive, tol=ROOT_TOL)
     note = "no root in [0, 1]; clamped to boundary" if root.out_of_bracket else None
     return Estimate(value=root.value, clamped=root.out_of_bracket, note=note)
@@ -240,7 +236,19 @@ def estimate_umvcue(state: AnalysisState) -> float:
 
 
 def _log_continuation_prob(p: float, a1: int, n1: int) -> float:
-    return math.log(binom_upper_tail(a1 + 1, n1, p))
+    """log P(X1 > a1) for X1 ~ Bin(n1, p), 0 < p <= 1. Where the tail
+    underflows to 0.0 (a1 near n1 and p near 0), its log is summed from
+    the log-space pmf terms instead, so the log-likelihood stays finite."""
+    tail = binom_upper_tail(a1 + 1, n1, p)
+    if tail > 0.0:
+        return math.log(tail)
+    lf, log_p, log_q = _log_factorials(), math.log(p), math.log1p(-p)
+    terms = [
+        lf[n1] - lf[k] - lf[n1 - k] + k * log_p + (n1 - k) * log_q
+        for k in range(a1 + 1, n1 + 1)
+    ]
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(term - top) for term in terms))
 
 
 @lru_cache(maxsize=1)
@@ -325,23 +333,20 @@ def _golden_max(
 
 
 def _check_outcome(s: int, m: int, d: TwoStageDesign) -> None:
-    """ValueError unless (s, m) is a terminal outcome of d."""
-    if m == d.n1:
-        if not 0 <= s <= d.a1:
-            raise ValueError(
-                f"(s={s}, m={m}) is not a stage-1 terminal outcome (need s <= a1={d.a1})"
-            )
-    elif m == d.n:
-        if not d.a1 < s <= d.n:
-            raise ValueError(
-                f"(s={s}, m={m}) is not a stage-2 terminal outcome of the design"
-            )
-    elif m < d.n1:
+    """ValueError unless (s, m) is a terminal outcome of d: 0 <= s <= n
+    and m == d.size_at(s)."""
+    if m < d.n1:
         raise ValueError(f"analysis sample size {m} is below n1={d.n1}")
-    else:
+    if m not in (d.n1, d.n):
         raise ValueError(
             f"analysis sample size {m} is neither n1={d.n1} nor the final size {d.n}"
         )
+    if not 0 <= s <= d.n or d.size_at(s) != m:
+        if m == d.n1:
+            raise ValueError(
+                f"(s={s}, m={m}) is not a stage-1 terminal outcome (need s <= a1={d.a1})"
+            )
+        raise ValueError(f"(s={s}, m={m}) is not a stage-2 terminal outcome of the design")
 
 
 def q_value(s: int, m: int, p: float, design: TwoStageDesign) -> float:
@@ -461,7 +466,7 @@ def _umvue_ranks(a1: int, n1: int, n: int) -> Sequence[int]:
     from array import array  # see _log_continuation_row
 
     design = TwoStageDesign(a1=a1, a=a1, n1=n1, n=n)
-    estimates = [umvue_fraction(o.s, o.m, design) for o in terminal_outcomes(design)]
+    estimates = [umvue_fraction(s, design.size_at(s), design) for s in range(n + 1)]
     rank = {value: r for r, value in enumerate(sorted(set(estimates)))}
     return array("H", [rank[value] for value in estimates])
 
@@ -528,20 +533,20 @@ CI_METHODS = ("JT", "midp", "CP", "Wald", "Wilson")
 
 @lru_cache(maxsize=1 << 16)
 def interval_for_outcome(
-    method: str,
-    outcome: TerminalOutcome,
-    design: TwoStageDesign,
-    level: float = 0.95,
+    method: str, s: int, design: TwoStageDesign, level: float = 0.95
 ) -> ConfidenceInterval:
-    """The interval a method reports for one terminal outcome."""
+    """The interval a method reports for the terminal outcome with total s,
+    which ends the trial at design.size_at(s). A trial analysed at a
+    realised final size passes its AnalysisState.analysis_design."""
     key = method.lower()
+    m = design.size_at(s)
     if key in ("cp", "clopper-pearson"):
-        return ci_clopper_pearson(outcome.s, outcome.m, level)
+        return ci_clopper_pearson(s, m, level)
     if key == "wald":
-        return ci_wald(outcome.s, outcome.m, level)
+        return ci_wald(s, m, level)
     if key == "wilson":
-        return ci_wilson(outcome.s, outcome.m, level)
-    state = AnalysisState(design=design, s=outcome.s, m=outcome.m)
+        return ci_wilson(s, m, level)
+    state = AnalysisState(design=design, s=s, m=m)
     if key in ("jt", "jennison-turnbull"):
         return ci_jennison_turnbull(state, level)
     if key in ("midp", "mid-p"):
@@ -556,7 +561,7 @@ def coverage(method: str, p: float, design: TwoStageDesign, level: float = 0.95)
         1.0,
         math.fsum(
             prob
-            for o, prob in zip(terminal_outcomes(design), terminal_pmf(design, p))
-            if interval_for_outcome(method, o, design, level).contains(p)
+            for s, prob in enumerate(terminal_pmf(design, p))
+            if interval_for_outcome(method, s, design, level).contains(p)
         ),
     )

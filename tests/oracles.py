@@ -104,6 +104,65 @@ def binom_tails_mp(s, m, p):
         return mpmath.fsum(terms[s:]), mpmath.fsum(terms[: s + 1])
 
 
+def _tails(terms):
+    """(suffix sums, prefix sums) of terms, each accumulated from its own
+    end so that a small tail is not the difference of two large sums."""
+    upper, lower, acc = [], [], 0
+    for term in reversed(terms):
+        acc += term
+        upper.append(acc)
+    acc = 0
+    for term in terms:
+        acc += term
+        lower.append(acc)
+    return upper[::-1], lower
+
+
+def binom_tail_rows_mp(m, p):
+    """([P(X >= s)], [P(X <= s)]) for s = 0..m and X ~ Bin(m, p), from
+    mpmath terms at 60 significant digits; p is a float in (0, 1)."""
+    with mpmath.workdps(60):
+        p = mpmath.mpf(p)
+        ratio, term, terms = p / (1 - p), (1 - p) ** m, []
+        for k in range(m + 1):
+            terms.append(term)
+            term = term * ratio * (m - k) / (k + 1)
+        return _tails(terms)
+
+
+def stagewise_tails_mp(a1, n1, n, p):
+    """([q], [q_lower]) of the terminal outcomes with totals s = 0..n at a
+    float p, in mpmath at 40 significant digits: suffix and prefix sums of
+    the terminal row, whose terms are C(n1, s) p^s (1 - p)^(n1 - s) for
+    s <= a1 and c_s p^s (1 - p)^(n - s) with exact path counts c_s above."""
+    counts = _paths(a1, n1, n)
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        terms = [math.comb(n1, s) * p**s * (1 - p) ** (n1 - s) for s in range(a1 + 1)]
+        terms += [counts[s] * p**s * (1 - p) ** (n - s) for s in range(a1 + 1, n + 1)]
+        return _tails(terms)
+
+
+def conditional_mle_mp(s, n, a1, n1):
+    """The conditional MLE of the stage-2 outcome (s, n), a1 + 1 < s < n.
+
+    Given continuation, P(S = k) is proportional to c_k p^k (1 - p)^(n - k)
+    for k > a1: an exponential family in x = logit p, so the likelihood of
+    s is largest where E[S | continue] = s. That root is solved in mpmath
+    at 40 digits, with no logarithm of the continuation probability.
+    """
+    counts = [(k, c) for k, c in enumerate(_paths(a1, n1, n)) if k > a1]
+    with mpmath.workdps(40):
+
+        def excess_mean(x):
+            weights = [c * mpmath.exp(k * x) for k, c in counts]
+            mean = mpmath.fsum(k * w for (k, _), w in zip(counts, weights)) / mpmath.fsum(weights)
+            return mean - s
+
+        x = mpmath.findroot(excess_mean, (-40, 40), solver="illinois")
+        return float(1 / (1 + mpmath.exp(-x)))
+
+
 def reject_prob_oracle(a1, a, n1, n, p):
     return sum(
         pr for _, s, m, pr in stage_paths(a1, n1, n, p) if m == n and s > a
@@ -290,6 +349,21 @@ def ump_first_n(p0, p1, alpha, beta, n_max):
 # faster path can be checked to give the same floats, not merely close ones.
 
 
+def binding_constraint_oracle(p0, alpha, n_max):
+    """The infeasible search's binding constraint by the quadratic loop it
+    used to run: type-I error unless some (n, n1) with n <= n_max has
+    pmf1[n1] * min(pmf2[n2], 1.0) <= alpha at the top terms p0^m."""
+    from twostage.binomial import binom_pmf_row
+
+    last = [binom_pmf_row(m, p0, m)[0] for m in range(n_max)]
+    alpha_ok = any(
+        last[n1] * min(last[n - n1], 1.0) <= alpha
+        for n in range(2, n_max + 1)
+        for n1 in range(1, n)
+    )
+    return "power" if alpha_ok else "type-I error"
+
+
 def pmf_row_lgamma_oracle(m, p, start=0, stop=None):
     """binom_pmf_row with log C(m, s) from lgamma calls at every term."""
     stop = m + 1 if stop is None else stop
@@ -350,12 +424,11 @@ def midp_limits_oracle(s, design, level=0.95, tol=1e-10):
     from operator import mul
 
     from twostage.binomial import solve_monotone_root
-    from twostage.design import terminal_outcomes, terminal_pmf
+    from twostage.design import terminal_pmf
     from twostage.inference import umvue_fraction
 
-    outcomes = list(terminal_outcomes(design))
-    observed = umvue_fraction(s, outcomes[s].m, design)
-    ranks = [umvue_fraction(o.s, o.m, design) for o in outcomes]
+    ranks = [umvue_fraction(k, design.size_at(k), design) for k in range(design.n + 1)]
+    observed = ranks[s]
     weights = [0.0 if r < observed else 0.5 if r == observed else 1.0 for r in ranks]
 
     def tail(p):

@@ -19,7 +19,6 @@ from twostage.design import (
     TwoStageDesign,
     reject_prob,
     search_designs,
-    terminal_outcomes,
 )
 from twostage.deviation import (
     DeviatedAnalysis,
@@ -108,11 +107,11 @@ def test_criterion_4_decision_consistency(design):
     exception over the full terminal outcome space."""
     alpha_attained = reject_prob(design.targets.p0, design)
     exceptions = []
-    for o in terminal_outcomes(design):
-        state = AnalysisState(design=design, s=o.s, m=o.m)
-        rejects = o.stage == 2 and o.s > design.a
+    for s in range(design.n + 1):
+        state = AnalysisState(design=design, s=s, m=design.size_at(s))
+        rejects = s > design.a
         if (p_value(state) <= alpha_attained) != rejects:
-            exceptions.append((o.s, o.m))
+            exceptions.append((s, state.m))
     assert exceptions == []
 
 
@@ -144,10 +143,11 @@ def test_criterion_6_naive_below_umvue():
     """For (1/10, 5/29) the sample proportion never exceeds the UMVUE over
     stage-2 outcomes; exceptions are reported, not hidden."""
     design = TEST_DESIGNS[0]
+    n = design.n
     exceptions = [
-        (o.s, float(o.s / o.m), float(umvue_fraction(o.s, o.m, design)))
-        for o in terminal_outcomes(design)
-        if o.stage == 2 and o.s / o.m > float(umvue_fraction(o.s, o.m, design)) + 1e-12
+        (s, s / n, float(umvue_fraction(s, n, design)))
+        for s in range(design.a1 + 1, n + 1)
+        if s / n > float(umvue_fraction(s, n, design)) + 1e-12
     ]
     assert exceptions == [], f"naive exceeded UMVUE at: {exceptions}"
 

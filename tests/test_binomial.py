@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom as scipy_binom
 
-from oracles import binom_tails_mp, exact_stagewise_tails, pmf_row_lgamma_oracle
+from oracles import (
+    binom_tail_rows_mp,
+    binom_tails_mp,
+    exact_stagewise_tails,
+    pmf_row_lgamma_oracle,
+    stagewise_tails_mp,
+)
 from twostage.binomial import (
     MAX_SAMPLE_SIZE,
     binom_cdf,
@@ -20,7 +26,7 @@ from twostage.binomial import (
     normal_quantile,
     solve_monotone_root,
 )
-from twostage.design import TwoStageDesign, terminal_outcomes
+from twostage.design import TwoStageDesign
 from twostage.inference import ROOT_TOL, q_lower_value, q_value
 
 GRID = [
@@ -148,6 +154,49 @@ def test_cdf_monotone_in_s(m, p):
     assert all(lo <= hi + 1e-15 for lo, hi in zip(values, values[1:]))
 
 
+# Relative accuracy against mpmath, where the exact tail is at least 1e-300
+# (smaller tails lose digits to subnormal rounding). The bounds are about
+# 2.5x the worst error measured: 1.83e-12 for the kernel tails over every s
+# with m in {200, 500, 1000} and the seven p below (at m = 1000, p = 1e-3,
+# s = 80), and 2.2e-13 for the q-functions over every outcome of the
+# designs below (5/60, 40/200 at p = 0.01). The error grows with m: about
+# one rounding per term of the sum and of the log-factorial table.
+MP_PS = (1e-4, 1e-3, 0.01, 0.1, 0.3137, 0.5, 0.9)
+MP_FLOOR = mpmath.mpf("1e-300")
+
+
+def relative_errors(pairs):
+    return [abs(got - ref) / ref for got, ref in pairs if ref >= MP_FLOOR]
+
+
+@pytest.mark.parametrize("m", [200, 500, 1000])
+@pytest.mark.parametrize("p", MP_PS)
+def test_kernel_tails_match_mpmath_up_to_m_1000(m, p):
+    upper, lower = binom_tail_rows_mp(m, p)
+    # every s at m = 200, every 2nd and 5th at 500 and 1000: all of them
+    # would take seconds
+    totals = range(0, m + 1, m // 200)
+    errors = relative_errors(
+        [(binom_upper_tail(s, m, p), upper[s]) for s in totals]
+        + [(binom_cdf(s, m, p), lower[s]) for s in totals]
+    )
+    assert max(errors) <= 5e-12
+
+
+@pytest.mark.parametrize(
+    "text", ["1/10, 5/29", "3/13, 12/43", "7/16, 23/46", "30/60, 40/100", "5/60, 40/200"]
+)
+@pytest.mark.parametrize("p", MP_PS)
+def test_q_functions_match_mpmath(text, p):
+    d = TwoStageDesign.from_compact(text)
+    upper, lower = stagewise_tails_mp(d.a1, d.n1, d.n, p)
+    errors = relative_errors(
+        [(q_value(s, d.size_at(s), p, d), upper[s]) for s in range(d.n + 1)]
+        + [(q_lower_value(s, d.size_at(s), p, d), lower[s]) for s in range(d.n + 1)]
+    )
+    assert max(errors) <= 5e-13
+
+
 def test_root_solver_recovers_known_roots():
     # upper tail of Bin(10, p) at s=3 is increasing in p
     root = solve_monotone_root(lambda p: binom_upper_tail(3, 10, p), 0.5)
@@ -209,13 +258,14 @@ def jt_solves():
     out = []
     for text in JT_DESIGNS:
         d = TwoStageDesign.from_compact(text)
-        for o in terminal_outcomes(d):
+        for s in range(d.n + 1):
+            m = d.size_at(s)
             for level in ROOT_LEVELS[1:]:
                 target = (1.0 - level) / 2.0
                 for side, q in (("upper", q_value), ("lower", q_lower_value)):
-                    root, evals = _solve_counted(lambda p: q(o.s, o.m, p, d), target)
+                    root, evals = _solve_counted(lambda p: q(s, m, p, d), target)
                     if not root.out_of_bracket and 0.0 < root.value < 1.0:
-                        out.append((d, o.s, o.m, side, target, root.value, evals))
+                        out.append((d, s, m, side, target, root.value, evals))
     return out
 
 

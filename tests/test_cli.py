@@ -164,6 +164,34 @@ def test_analysis_at_a_realised_size_not_above_a(capsys, command):
     assert out == want
 
 
+def test_estimate_where_the_continuation_tail_underflows(capsys):
+    # P(X1 > 30) for X1 ~ Bin(60, p) is 0.0 in floats at the conditional
+    # MLE's first scan points; the estimate used to stop at log(0.0)
+    status, out, err = run(
+        capsys, "estimate", "--design", "30/60,40/100", "--s", "50", "--m", "100",
+        "--format", "json",
+    )
+    assert (status, err) == (0, "")
+    assert json.loads(out)["estimates"]["conditional"] == pytest.approx(0.43771249408, abs=1e-8)
+
+
+def test_audit_where_the_continuation_tail_underflows(capsys, tmp_path):
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "id,p0,p1,a1,a,n1,n,stage,n_analysis,s_analysis,est,ci_level,ci_low,ci_upp\n"
+        "HIGH,0.3,0.5,30,40,60,100,2,100,50,0.5,0.95,0.3,0.7\n"
+        "OK,0.1,0.3,1,5,10,29,2,29,6,0.21,0.95,0.08,0.40\n"
+    )
+    status, out, err = run(capsys, "audit", "--input", str(records))
+    assert (status, err) == (0, "")
+    consistency = json.loads(out)["consistency"]
+    for key in ("estimate_reanalysable", "ci_reanalysable"):
+        assert consistency[key]["count"] == 2
+    # both records are evaluated with the adjusted procedures too
+    for key in ("estimate_matches_any_adjusted", "ci_matches_any_adjusted"):
+        assert consistency[key]["denominator"] == 2
+
+
 def test_analysis_below_n1_names_the_rule(capsys):
     status, out, err = run(capsys, "estimate", "--design", "1/10,5/29", "--s", "3", "--m", "9")
     assert (status, out) == (2, "")

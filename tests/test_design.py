@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import random
 import re
 import sys
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    binding_constraint_oracle,
     brute_force_both,
     brute_force_frontier,
     brute_force_search,
@@ -42,7 +44,6 @@ from twostage.design import (
     reject_prob,
     search_designs,
     terminal_distribution,
-    terminal_outcomes,
     terminal_pmf,
 )
 
@@ -98,21 +99,21 @@ def test_json_round_trip():
 
 
 def test_terminal_outcomes_enumeration():
-    outcomes = list(terminal_outcomes(DESIGN))
-    stage1 = [o for o in outcomes if o.stage == 1]
-    stage2 = [o for o in outcomes if o.stage == 2]
-    assert [o.s for o in stage1] == [0, 1]
-    assert all(o.m == 10 for o in stage1)
-    assert [o.s for o in stage2] == list(range(2, 30))
-    assert all(o.m == 29 for o in stage2)
+    # each total s = 0..n names one terminal outcome (s, size_at(s))
+    sizes = [DESIGN.size_at(s) for s in range(DESIGN.n + 1)]
+    assert sizes == [10] * 2 + [29] * 28
+    assert DESIGN.with_final_n(26).size_at(1) == 10
+    assert DESIGN.with_final_n(26).size_at(2) == 26
 
 
 def test_terminal_distribution_against_path_enumeration():
     for p in (0.05, 0.1, 0.3, 0.55):
         oracle = terminal_probs(1, 10, 29, p)
-        for o in terminal_outcomes(DESIGN):
-            assert terminal_distribution(o.s, o.stage, p, DESIGN) == pytest.approx(
-                oracle[(o.s, o.m)], abs=1e-12
+        for s in range(DESIGN.n + 1):
+            m = DESIGN.size_at(s)
+            stage = 1 if m == DESIGN.n1 else 2
+            assert terminal_distribution(s, stage, p, DESIGN) == pytest.approx(
+                oracle[(s, m)], abs=1e-12
             )
 
 
@@ -195,8 +196,7 @@ def test_terminal_distribution_sums_to_one(n1, extra, a1, p):
     n = n1 + extra
     design = TwoStageDesign(a1=a1, a=min(a1 + 1, n - 1), n1=n1, n=n)
     total = sum(
-        terminal_distribution(o.s, o.stage, p, design)
-        for o in terminal_outcomes(design)
+        terminal_distribution(s, 1 if s <= a1 else 2, p, design) for s in range(n + 1)
     )
     assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -431,6 +431,33 @@ def test_np_lower_bound_against_brute_force(p0, p1, alpha, beta):
     # UMP test's own first n, so it is as tight as its argument allows
     assert bound <= first_feasible_n(p0, p1, alpha, beta, 400)
     assert bound == ump_first_n(p0, p1, alpha, beta, 400)
+
+
+def test_binding_constraint_matches_the_quadratic_loop():
+    # alpha sits at, just below or just above p0^n_max, the smallest
+    # type-I error of any design of size n_max, so both answers occur; no
+    # design reaches power 1 - 1e-9 at p1 this close to p0
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(300):
+        p0, n_max = rng.uniform(0.05, 0.95), rng.randint(2, 40)
+        alpha = min(0.5, p0**n_max * rng.choice((0.5, 1.0, 2.0)))
+        targets = DesignTargets(p0, p0 + 0.01 * (1.0 - p0), alpha, 1e-9)
+        with pytest.raises(InfeasibleDesignError) as excinfo:
+            search_designs(targets, "minimax", n_max=n_max)
+        expected = binding_constraint_oracle(p0, alpha, n_max)
+        assert excinfo.value.binding_constraint == expected, (p0, alpha, n_max)
+        seen.add(expected)
+    assert seen == {"power", "type-I error"}
+
+
+def test_binding_constraint_at_the_sample_size_cap():
+    # every design has type-I error at least 0.9^5000, about 1e-229; the
+    # quadratic loop took seconds here, the prefix minimum milliseconds
+    targets = DesignTargets(0.9, 0.95, 1e-300, 0.2)
+    with pytest.raises(InfeasibleDesignError) as excinfo:
+        search_designs(targets, "minimax", n_max=MAX_SAMPLE_SIZE)
+    assert excinfo.value.binding_constraint == "type-I error"
 
 
 def test_np_lower_bound_past_n_max():

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used there.
+"""Every name a package module imports is used there, and every name the
+package exports exists.
 
 A name counts as used when the module reads it anywhere (as a bare name or
 as the base of an attribute) or lists it in ``__all__``.
@@ -40,3 +41,13 @@ def test_module_uses_every_import(path):
         tree = ast.parse(handle.read(), filename=path)
     unused = sorted(set(imported_names(tree)) - used_names(tree))
     assert not unused, f"{os.path.basename(path)} never uses {', '.join(unused)}"
+
+
+def test_every_export_resolves():
+    # a stale __all__ entry (a deleted or renamed name) would make
+    # `from twostage import *` fail
+    import twostage
+
+    missing = [name for name in twostage.__all__ if not hasattr(twostage, name)]
+    assert not missing, f"twostage.__all__ names missing attributes: {', '.join(missing)}"
+    assert len(set(twostage.__all__)) == len(twostage.__all__)
