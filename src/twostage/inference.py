@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -22,6 +23,7 @@ from .binomial import (
     MAX_SAMPLE_SIZE,
     _log_factorials,
     binom_cdf,
+    binom_pmf_row,
     binom_upper_tail,
     normal_quantile,
     solve_monotone_root,
@@ -471,13 +473,18 @@ def _umvue_ranks(a1: int, n1: int, n: int) -> Sequence[int]:
     return array("H", [rank[value] for value in estimates])
 
 
+def _midp_weights(ranks: Sequence[int], observed: int) -> list[float]:
+    """Weight of each outcome in the mid-p tail of the outcome with UMVUE
+    rank ``observed``: 1 above it, 1/2 at it and 0 below it."""
+    return [0.0 if r < observed else 0.5 if r == observed else 1.0 for r in ranks]
+
+
 def ci_midp(state: AnalysisState, level: float = 0.95) -> ConfidenceInterval:
     """Mid-p interval under the UMVUE ordering of terminal outcomes."""
     alpha_ci = _check_level(level)
     d = state.analysis_design
     ranks = _umvue_ranks(d.a1, d.n1, d.n)
-    observed = ranks[state.s]
-    weights = [0.0 if r < observed else 0.5 if r == observed else 1.0 for r in ranks]
+    weights = _midp_weights(ranks, ranks[state.s])
 
     def tail(p: float) -> float:
         return _expectation(weights, d, p)
@@ -489,8 +496,13 @@ def ci_midp(state: AnalysisState, level: float = 0.95) -> ConfidenceInterval:
     return ConfidenceInterval(low=low_val, upp=upp_val, level=level, method="midp")
 
 
+@lru_cache(maxsize=1 << 14)
 def ci_clopper_pearson(s: int, m: int, level: float = 0.95) -> ConfidenceInterval:
-    """Exact tail-inversion interval for a plain binomial proportion."""
+    """Exact tail-inversion interval for a plain binomial proportion.
+
+    Each (s, m, level) is solved once: the audit checks a record's interval
+    in its summary and again in its figure data. At most 2^14 intervals are
+    kept, about 300 bytes each with their cache entry: 5 MB in all."""
     alpha_ci = _check_level(level)
     _check_counts(s, m)
     half = alpha_ci / 2.0
@@ -530,6 +542,26 @@ def ci_wilson(s: int, m: int, level: float = 0.95) -> ConfidenceInterval:
 
 CI_METHODS = ("JT", "midp", "CP", "Wald", "Wilson")
 
+# each method's names, matched without regard to case
+_CI_NAMES = {
+    "jt": "JT",
+    "jennison-turnbull": "JT",
+    "midp": "midp",
+    "mid-p": "midp",
+    "cp": "CP",
+    "clopper-pearson": "CP",
+    "wald": "Wald",
+    "wilson": "Wilson",
+}
+
+
+def _ci_method(method: str) -> str:
+    """The CI_METHODS entry that ``method`` names."""
+    name = _CI_NAMES.get(method.lower())
+    if name is None:
+        raise ValueError(f"unknown CI method {method!r}")
+    return name
+
 
 @lru_cache(maxsize=1 << 16)
 def interval_for_outcome(
@@ -538,30 +570,99 @@ def interval_for_outcome(
     """The interval a method reports for the terminal outcome with total s,
     which ends the trial at design.size_at(s). A trial analysed at a
     realised final size passes its AnalysisState.analysis_design."""
-    key = method.lower()
+    name = _ci_method(method)
     m = design.size_at(s)
-    if key in ("cp", "clopper-pearson"):
+    if name == "CP":
         return ci_clopper_pearson(s, m, level)
-    if key == "wald":
+    if name == "Wald":
         return ci_wald(s, m, level)
-    if key == "wilson":
+    if name == "Wilson":
         return ci_wilson(s, m, level)
     state = AnalysisState(design=design, s=s, m=m)
-    if key in ("jt", "jennison-turnbull"):
+    if name == "JT":
         return ci_jennison_turnbull(state, level)
-    if key in ("midp", "mid-p"):
-        return ci_midp(state, level)
-    raise ValueError(f"unknown CI method {method!r}")
+    return ci_midp(state, level)
 
 
 def coverage(method: str, p: float, design: TwoStageDesign, level: float = 0.95) -> float:
     """Exact probability that the named method's interval contains p.
-    Interval membership uses closed endpoints."""
-    return min(
-        1.0,
-        math.fsum(
-            prob
-            for s, prob in enumerate(terminal_pmf(design, p))
+    Interval membership uses closed endpoints.
+
+    JT, mid-p and CP coverage is found by test inversion, with no root
+    solve: an interval contains p exactly when the tails at p clear the
+    thresholds its limits were solved for. These are alpha/2 for each JT
+    tail (q_value and q_lower_value, a suffix and a prefix of the terminal
+    row at p), alpha/2 and 1 - alpha/2 for the mid-p tail, and alpha/2 for
+    each Bin(m, p) tail of CP at 0 < s < m. The outcomes that pass form a
+    window in s (in UMVUE rank for mid-p, and one window per stage for CP),
+    whose ends a binary search finds with O(log n) fsums. This agrees with
+    the limits of interval_for_outcome except where p lies within ROOT_TOL
+    of a solved limit, and there it is the exact answer. CP at s = 0 and
+    s = n reads its closed-form limits from ci_clopper_pearson. Wald and
+    Wilson, both closed forms, check the interval of every outcome.
+    """
+    name = _ci_method(method)
+    row = terminal_pmf(design, p)
+    if name == "JT":
+        covered: Iterable[int] = _tail_window(row, 0, len(row), _check_level(level) / 2.0)
+    elif name == "midp":
+        covered = _midp_covered(row, design, _check_level(level) / 2.0)
+    elif name == "CP":
+        covered = _cp_covered(p, design, level)
+    else:
+        covered = (
+            s
+            for s in range(design.n + 1)
             if interval_for_outcome(method, s, design, level).contains(p)
-        ),
+        )
+    return min(1.0, math.fsum(row[s] for s in covered))
+
+
+def _window(
+    lo: int, hi: int, reached: Callable[[int], bool], passed: Callable[[int], bool]
+) -> range:
+    """The k in range(lo, hi) with reached(k) and not passed(k), where each
+    predicate is False and then True as k grows: two binary searches."""
+    start = bisect_left(range(hi), True, lo, hi, key=reached)
+    return range(start, bisect_left(range(hi), True, start, hi, key=passed))
+
+
+def _tail_window(row: list[float], lo: int, hi: int, half: float) -> range:
+    """The k in range(lo, hi) whose prefix row[:k + 1] and suffix row[k:]
+    each sum to at least half. The prefix sum rises with k and the suffix
+    sum falls. As half < 1, these are the comparisons of q_lower_value and
+    q_value with half for a terminal row, and of binom_cdf and
+    binom_upper_tail for a Bin(m, p) row and 0 < k < m."""
+    return _window(
+        lo,
+        hi,
+        lambda k: math.fsum(row[: k + 1]) >= half,
+        lambda k: math.fsum(row[k:]) < half,
     )
+
+
+def _midp_covered(row: list[float], design: TwoStageDesign, half: float) -> list[int]:
+    """Totals whose mid-p interval contains p, for the terminal row at p.
+    The tail that ci_midp solves falls as the observed UMVUE rank rises, so
+    the ranks with alpha/2 <= tail <= 1 - alpha/2 form a window."""
+    ranks = _umvue_ranks(design.a1, design.n1, design.n)
+
+    def tail(r: int) -> float:
+        return math.fsum(map(mul, _midp_weights(ranks, r), row))
+
+    window = _window(0, max(ranks) + 1, lambda r: tail(r) <= 1.0 - half, lambda r: tail(r) < half)
+    return [s for s, r in enumerate(ranks) if r in window]
+
+
+def _cp_covered(p: float, design: TwoStageDesign, level: float) -> list[int]:
+    """Totals whose CP interval contains p: a window of each stage's
+    totals 0 < s < m on its Bin(m, p) row, and s = 0 and s = n by their
+    closed-form limits."""
+    half = _check_level(level) / 2.0
+    a1, n1, n = design.a1, design.n1, design.n
+    covered = [
+        s for s, m in ((0, n1), (n, n)) if ci_clopper_pearson(s, m, level).contains(p)
+    ]
+    covered += _tail_window(binom_pmf_row(n1, p), 1, a1 + 1, half)
+    covered += _tail_window(binom_pmf_row(n, p), a1 + 1, n, half)
+    return covered

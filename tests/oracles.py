@@ -438,3 +438,22 @@ def midp_limits_oracle(s, design, level=0.95, tol=1e-10):
     low = solve_monotone_root(tail, alpha_ci / 2.0, tol=tol)
     upp = solve_monotone_root(tail, 1.0 - alpha_ci / 2.0, tol=tol)
     return (0.0 if low.out_of_bracket else low.value, 1.0 if upp.out_of_bracket else upp.value)
+
+
+def coverage_by_intervals_oracle(method, p, design, level=0.95):
+    """Exact coverage by the interval path: every terminal outcome's
+    interval is solved (or read from interval_for_outcome's cache) and
+    checked for p with closed endpoints, and the probabilities of the
+    outcomes that contain p are summed with fsum. Package coverage decides
+    the same membership by test inversion, without the limits."""
+    from twostage.design import terminal_pmf
+    from twostage.inference import interval_for_outcome
+
+    return min(
+        1.0,
+        math.fsum(
+            prob
+            for s, prob in enumerate(terminal_pmf(design, p))
+            if interval_for_outcome(method, s, design, level).contains(p)
+        ),
+    )

@@ -14,8 +14,10 @@ from scipy.stats import f as f_dist
 from oracles import (
     conditional_mle_mp,
     conditional_mle_scan_oracle,
+    coverage_by_intervals_oracle,
     midp_limits_oracle,
     stage_paths,
+    stagewise_tails_mp,
     terminal_probs,
 )
 from twostage import inference
@@ -637,3 +639,88 @@ def test_coverage_matches_path_enumeration():
 def test_cp_coverage_conservative():
     for p in (0.05, 0.1, 0.3, 0.5, 0.9):
         assert coverage("CP", p, DESIGN) >= 0.95 - 1e-12
+
+
+COVERAGE_DESIGNS = [
+    TwoStageDesign.from_compact(text)
+    for text in (
+        "1/10,5/29",
+        "3/13,12/43",
+        "30/60,40/100",  # large a1: stage 1 ends every total up to 30
+        "20/60,80/200",
+        "0/6,3/16",  # a1 = 0: only s = 0 ends at stage 1
+        "8/9,10/14",  # a1 = n1 - 1: only s = n1 continues
+    )
+]
+
+
+@pytest.mark.parametrize("design", COVERAGE_DESIGNS, ids=lambda d: d.compact())
+@pytest.mark.parametrize("method", ["JT", "CP", "midp"])
+def test_coverage_by_inversion_is_the_interval_path(design, method):
+    """Test inversion gives the interval path's coverage bit for bit on a
+    0.001 grid, at p = 0 and p = 1, and midway between the sample
+    proportions (s + 0.5) / n, at both levels."""
+    grid = [k / 1000 for k in range(1001)] + [(s + 0.5) / design.n for s in range(design.n)]
+    for level in (0.90, 0.95):
+        differ = [
+            p
+            for p in grid
+            if coverage(method, p, design, level)
+            != coverage_by_intervals_oracle(method, p, design, level)
+        ]
+        assert differ == [], f"level {level}"
+
+
+def test_coverage_solves_no_root_and_reads_no_interval(monkeypatch):
+    def no_root(*args, **kwargs):
+        raise AssertionError("coverage solved a root")
+
+    monkeypatch.setattr(inference, "solve_monotone_root", no_root)
+    before = interval_for_outcome.cache_info()
+    design = TwoStageDesign.from_compact("2/17,9/41")
+    for method in ("JT", "CP", "midp", "jennison-turnbull", "clopper-pearson", "mid-p"):
+        for level in (0.9, 0.95):
+            for p in [k / 50 for k in range(51)]:
+                coverage(method, p, design, level)
+    after = interval_for_outcome.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (
+        before.hits,
+        before.misses,
+        before.currsize,
+    )
+
+
+@pytest.mark.parametrize("s", [1, 6])
+def test_coverage_near_a_solved_jt_limit_is_the_exact_decision(s):
+    """At and next to a solved JT lower limit, which lies within ROOT_TOL
+    of the root but not on it, coverage counts the outcomes whose
+    q-functions, summed in mpmath at p, clear alpha / 2. The interval path
+    counts p = low as inside, so it overstates coverage there exactly when
+    the solved limit lies below the root (s = 6), and agrees when it lies
+    above (s = 1)."""
+    half = (1.0 - 0.95) / 2.0
+    low = interval_for_outcome("JT", s, DESIGN).low
+    for p in (math.nextafter(low, 0.0), low, math.nextafter(low, 1.0)):
+        q, q_lower = stagewise_tails_mp(DESIGN.a1, DESIGN.n1, DESIGN.n, p)
+        # far beyond the float error of the tails, so the decision is sound
+        assert abs(q[s] - half) > 1e-12
+        row = terminal_pmf(DESIGN, p)
+        exact = min(
+            1.0,
+            math.fsum(
+                row[k] for k in range(DESIGN.n + 1) if q[k] >= half and q_lower[k] >= half
+            ),
+        )
+        assert coverage("JT", p, DESIGN) == exact
+    below_root = stagewise_tails_mp(DESIGN.a1, DESIGN.n1, DESIGN.n, low)[0][s] < half
+    assert below_root == (s == 6)
+    overstated = coverage("JT", low, DESIGN) < coverage_by_intervals_oracle("JT", low, DESIGN)
+    assert overstated == below_root
+
+
+def test_clopper_pearson_interval_is_solved_once():
+    ci_clopper_pearson(7, 31, 0.9)
+    before = ci_clopper_pearson.cache_info()
+    assert ci_clopper_pearson(7, 31, 0.9) is ci_clopper_pearson(7, 31, 0.9)
+    after = ci_clopper_pearson.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
