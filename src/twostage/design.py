@@ -49,11 +49,12 @@ class DesignTargets:
 
 @dataclass(frozen=True)
 class TwoStageDesign:
-    """Boundaries with 0 <= a1 < n1 < n and a1 <= a < n.
+    """Boundaries with 0 <= a1 < n1 < n and a1 <= a < n, and n at most
+    MAX_SAMPLE_SIZE.
 
-    Construction raises ValueError for any other boundaries, so every
-    instance is valid, whether built directly, parsed, or derived with
-    dataclasses.replace, with_targets or with_final_n.
+    Construction raises ValueError for any other boundaries or size, so
+    every instance is valid, whether built directly, parsed, or derived
+    with dataclasses.replace, with_targets or with_final_n.
     """
 
     a1: int
@@ -78,6 +79,8 @@ class TwoStageDesign:
             problems.append("a must be >= a1")
         if not self.a < self.n:
             problems.append("a must be < n")
+        if self.n > MAX_SAMPLE_SIZE:
+            problems.append(f"n exceeds the cap of {MAX_SAMPLE_SIZE}")
         if problems:
             raise ValueError(f"invalid design {self.compact()}: " + "; ".join(problems))
 
@@ -128,11 +131,13 @@ class TwoStageDesign:
     def with_targets(self, targets: DesignTargets) -> "TwoStageDesign":
         return dataclasses.replace(self, targets=targets)
 
-    def with_final_n(self, n_final: int) -> "TwoStageDesign":
-        """The design as analysed with a realised final sample size."""
-        if n_final <= self.n1:
-            raise ValueError(f"final sample size {n_final} must exceed n1={self.n1}")
-        return dataclasses.replace(self, n=n_final)
+    def with_final_n(self, m: int) -> "TwoStageDesign":
+        """The design as analysed at a realised final sample size m > n1:
+        n becomes m, and an a that m cannot exceed becomes a1. No analysis
+        at a realised size reads a, and construction caps m like any n."""
+        if m <= self.n1:
+            raise ValueError(f"final sample size {m} must exceed n1={self.n1}")
+        return dataclasses.replace(self, a=self.a if self.a < m else self.a1, n=m)
 
 
 @dataclass(frozen=True)
@@ -148,37 +153,32 @@ class OperatingCharacteristics:
         return dataclasses.asdict(self)
 
 
-def terminal_pmf(
-    design: TwoStageDesign, p: float, n_final: Optional[int] = None
-) -> list[float]:
+def terminal_pmf(design: TwoStageDesign, p: float) -> list[float]:
     """Exact distribution of the design's terminal outcomes under p.
 
-    ``row[s]`` is P(the trial ends with s total successes) for
-    s = 0..n_final, which it does at sample size TwoStageDesign.size_at(s).
-    Rejection probabilities, q-values, interval tails, bias and coverage are
-    all prefixes, suffixes or weighted sums of this one row.
+    ``row[s]`` is P(the trial ends with s total successes) for s = 0..n,
+    which it does at sample size TwoStageDesign.size_at(s). Rejection
+    probabilities, q-values, interval tails, bias and coverage are all
+    prefixes, suffixes or weighted sums of this one row. A trial analysed
+    at a realised final size m passes design.with_final_n(m).
 
     Every path that continues and ends with s successes has probability
-    p^s (1 - p)^(n_final - s), so row[s] = c_s p^s (1 - p)^(n_final - s)
-    for s > a1, with the path count c_s of _log_counts, which does not
-    depend on p. Raises ValueError for n_final above MAX_SAMPLE_SIZE.
+    p^s (1 - p)^(n - s), so row[s] = c_s p^s (1 - p)^(n - s) for s > a1,
+    with the path count c_s of _log_counts, which does not depend on p.
+    The design's own cap bounds the row.
     """
-    nf = design.n if n_final is None else n_final
-    if nf <= design.n1:
-        raise ValueError(f"final sample size {nf} must exceed n1={design.n1}")
-    if nf > MAX_SAMPLE_SIZE:
-        raise ValueError(f"final sample size {nf} exceeds the cap of {MAX_SAMPLE_SIZE}")
+    n = design.n
     row = binom_pmf_row(design.n1, p, 0, design.a1 + 1)
     if 0.0 < p < 1.0:
         log_p, log_q, exp = math.log(p), math.log1p(-p), math.exp
         row += [
-            exp(log_c + s * log_p + (nf - s) * log_q)
-            for s, log_c in enumerate(_log_counts(design.a1, design.n1, nf), start=design.a1 + 1)
+            exp(log_c + s * log_p + (n - s) * log_q)
+            for s, log_c in enumerate(_log_counts(design.a1, design.n1, n), start=design.a1 + 1)
         ]
     else:
-        row += [0.0] * (nf - design.a1)
+        row += [0.0] * (n - design.a1)
         if p == 1.0:
-            row[nf] = 1.0
+            row[n] = 1.0
     return row
 
 
@@ -211,31 +211,25 @@ def continuation_tail(row: list[float], s: int) -> float:
     return min(1.0, math.fsum(row[s:]))
 
 
-def terminal_distribution(
-    s: int,
-    stage: int,
-    p: float,
-    design: TwoStageDesign,
-    n_final: Optional[int] = None,
-) -> float:
+def terminal_distribution(s: int, stage: int, p: float, design: TwoStageDesign) -> float:
     """Probability of ending the given stage with exactly s total successes.
 
     This is ``row[s]`` of terminal_pmf when s ends the trial at that stage,
     and 0.0 where the trial cannot end that way: s < 0, a stage-1 s above
-    a1 (the trial continues) or a stage-2 s at or below a1.
+    a1 (the trial continues) or a stage-2 s at or below a1. A trial
+    analysed at a realised final size m passes design.with_final_n(m).
     """
     if stage == 1:
         if s > design.n1:
             raise ValueError(f"stage-1 successes {s} exceed n1={design.n1}")
     elif stage == 2:
-        nf = design.n if n_final is None else n_final
-        if s > nf:
-            raise ValueError(f"successes {s} exceed final sample size {nf}")
+        if s > design.n:
+            raise ValueError(f"successes {s} exceed final sample size {design.n}")
     else:
         raise ValueError(f"stage must be 1 or 2, got {stage}")
     if s < 0 or (design.size_at(s) == design.n1) != (stage == 1):
         return 0.0
-    return terminal_pmf(design, p, n_final if stage == 2 else None)[s]
+    return terminal_pmf(design, p)[s]
 
 
 def pet(p: float, design: TwoStageDesign) -> float:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .binomial import MAX_SAMPLE_SIZE, binom_pmf, binom_upper_tail
+from .binomial import binom_pmf, binom_upper_tail
 from .design import TwoStageDesign, continuation_tail, terminal_pmf
 from .inference import AnalysisState
 
@@ -27,28 +27,12 @@ class DeviatedAnalysis:
     n_an: int
     s1: int
     s_an: int
-    n1_realized: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.n1_realized is not None and self.n1_realized != self.design.n1:
-            raise ValueError(
-                "deviation in the interim timing is not supported: the interim "
-                f"analysis must use the planned n1={self.design.n1}, got {self.n1_realized}"
-            )
-        _check_n_an(self.design, self.n_an)
+        # n_an must exceed n1 and stay within the cap, whatever s1 and s_an are
+        self.design.with_final_n(self.n_an)
         # the stage-2 outcome at n_an, with s1 continuing the trial
         AnalysisState(self.design, self.s_an, self.n_an, s1=self.s1)
-
-
-def _check_n_an(design: TwoStageDesign, n_an: int) -> None:
-    """Reject a final sample size with no second stage or above the cap."""
-    if n_an <= design.n1:
-        raise ValueError(
-            f"final analysis at n_an={n_an} <= n1={design.n1} leaves no "
-            "second-stage data; report a stage-1 analysis instead"
-        )
-    if n_an > MAX_SAMPLE_SIZE:
-        raise ValueError(f"final sample size n_an={n_an} exceeds the cap of {MAX_SAMPLE_SIZE}")
 
 
 def _p0_of(design: TwoStageDesign) -> float:
@@ -90,15 +74,13 @@ def ek_reject(analysis: DeviatedAnalysis) -> bool:
 
 def reject_prob_retained(p: float, design: TwoStageDesign, n_an: int) -> float:
     """Rejection probability when the planned bound a is kept at n_an."""
-    _check_n_an(design, n_an)
-    return continuation_tail(terminal_pmf(design, p, n_an), design.a + 1)
+    return continuation_tail(terminal_pmf(design.with_final_n(n_an), p), design.a + 1)
 
 
 def reject_prob_ek(p: float, design: TwoStageDesign, n_an: int) -> float:
     """Rejection probability of the conditional-error test at n_an."""
     p0 = _p0_of(design)
-    _check_n_an(design, n_an)
-    n2 = n_an - design.n1
+    n2 = design.with_final_n(n_an).n2
     terms = []
     for s1 in range(design.n1 + 1):
         err = conditional_error(s1, design)
@@ -131,19 +113,15 @@ def interpretation_probabilities(
     p1: Optional[float] = None,
 ) -> InterpretationProbabilities:
     """P(naive estimate beats p0 / reaches p1) under p0 and under p1."""
-    if n_an is None:
-        n_an = design.n
-    _check_n_an(design, n_an)
+    analysed = design.with_final_n(design.n if n_an is None else n_an)
     if p0 is None or p1 is None:
         if design.targets is None:
             raise ValueError("p0 and p1 are required (no design targets present)")
         p0 = design.targets.p0 if p0 is None else p0
         p1 = design.targets.p1 if p1 is None else p1
 
-    # the design as analysed at n_an (no probability here reads a), and the
-    # naive estimate of its outcome with total s
-    analysed = dataclasses.replace(design, a=design.a1, n=n_an)
-    naive = [s / analysed.size_at(s) for s in range(n_an + 1)]
+    # the naive estimate of the outcome with total s
+    naive = [s / analysed.size_at(s) for s in range(analysed.n + 1)]
 
     def prob(indicator, row: list[float]) -> float:
         return min(1.0, math.fsum(pr for est, pr in zip(naive, row) if indicator(est)))

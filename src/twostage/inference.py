@@ -20,7 +20,6 @@ from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .binomial import (
-    MAX_SAMPLE_SIZE,
     _log_factorials,
     binom_cdf,
     binom_pmf_row,
@@ -39,7 +38,8 @@ class AnalysisState:
 
     Construction raises ValueError unless (s, m) is a terminal outcome of
     the analysis design and s1, if given, continues the trial with
-    s1 <= s, so every instance is valid.
+    s1 <= s, so every instance is valid. A realised m above the cap fails
+    when the analysis design is built.
     """
 
     design: TwoStageDesign
@@ -50,12 +50,6 @@ class AnalysisState:
 
     def __post_init__(self) -> None:
         a1, n1 = self.design.a1, self.design.n1
-        if self.m > MAX_SAMPLE_SIZE:
-            # checked here because the CP, Wald and Wilson intervals and the
-            # UMVUE never reach the kernel's own cap
-            raise ValueError(
-                f"analysed sample size {self.m} exceeds the cap of {MAX_SAMPLE_SIZE}"
-            )
         _check_outcome(self.s, self.m, self.analysis_design)
         if self.s1 is not None:
             if not a1 < self.s1 <= n1:
@@ -69,16 +63,11 @@ class AnalysisState:
 
     @cached_property
     def analysis_design(self) -> TwoStageDesign:
-        """The design with n replaced by the realised final sample size
-        m > n1, built once per state. No analysis of a realised outcome
-        reads the final bound a, so an a that the realised size cannot
-        exceed is replaced by a1."""
-        design = self.design
-        if self.m > design.n1 and self.m != design.n:
-            if design.a >= self.m:
-                design = dataclasses.replace(design, a=design.a1)
-            return design.with_final_n(self.m)
-        return design
+        """design.with_final_n(m) for a realised final sample size
+        m > n1 other than n, otherwise the design; built once per state."""
+        if self.m > self.design.n1 and self.m != self.design.n:
+            return self.design.with_final_n(self.m)
+        return self.design
 
 
 @dataclass(frozen=True)

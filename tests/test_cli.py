@@ -246,6 +246,8 @@ def test_sample_size_above_the_cap_is_invalid_input(capsys, monkeypatch, argv):
 
     for name in ("solve_monotone_root", "terminal_pmf", "umvue_fraction"):
         monkeypatch.setattr(f"twostage.inference.{name}", never)
+    # nor is any path-count row built, whichever module asks for it
+    monkeypatch.setattr("twostage.design._log_counts", never)
     status, _, err = run(capsys, *argv)
     assert status == 2
     assert err.startswith("INVALID_INPUT:") and "cap" in err

@@ -63,10 +63,6 @@ def test_validation_catches_ordering_violations():
             lambda: TwoStageDesign(a1=10, a=3, n1=10, n=3),
             "10/10, 3/3: a1 must be < n1; n1 must be < n; a must be >= a1; a must be < n",
         ),
-        (
-            lambda: TwoStageDesign(a1=1, a=12, n1=10, n=29).with_final_n(12),
-            "1/10, 12/12: a must be < n",
-        ),
         (lambda: dataclasses.replace(DESIGN, a=0), "1/10, 0/29: a must be >= a1"),
         (
             lambda: TwoStageDesign.from_json_dict({**DESIGN.to_json_dict(), "n1": 29}),
@@ -78,6 +74,21 @@ def test_validation_catches_ordering_violations():
         with pytest.raises(ValueError, match=re.escape(f"invalid design {message}")):
             make()
     assert dataclasses.replace(DESIGN, a=28).a == 28
+    # an n above the cap is invalid however the design is made
+    above = MAX_SAMPLE_SIZE + 1
+    for make in (
+        lambda: TwoStageDesign(a1=1, a=5, n1=10, n=above),
+        lambda: TwoStageDesign.from_compact(f"1/10, 5/{above}"),
+        lambda: TwoStageDesign.from_json_dict({**DESIGN.to_json_dict(), "n": above}),
+        lambda: dataclasses.replace(DESIGN, n=above),
+        lambda: DESIGN.with_final_n(above),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"n exceeds the cap of {MAX_SAMPLE_SIZE}")):
+            make()
+    assert dataclasses.replace(DESIGN, n=MAX_SAMPLE_SIZE).n == MAX_SAMPLE_SIZE
+    # a realised final size must leave a second stage
+    with pytest.raises(ValueError, match="final sample size 10 must exceed n1=10"):
+        DESIGN.with_final_n(DESIGN.n1)
 
 
 def test_compact_round_trip():
@@ -171,7 +182,7 @@ def test_terminal_pmf_builds_one_count_row_per_design():
 
 def test_terminal_pmf_rejects_a_final_size_above_the_cap():
     with pytest.raises(ValueError, match="cap"):
-        terminal_pmf(DESIGN, 0.1, 10**6)
+        terminal_pmf(DESIGN.with_final_n(10**6), 0.1)
     with pytest.raises(ValueError, match="cap"):
         reject_prob(0.1, TwoStageDesign(a1=1, a=5, n1=10, n=MAX_SAMPLE_SIZE + 1))
 
@@ -206,23 +217,24 @@ def test_terminal_distribution_sums_to_one(n1, extra, a1, p):
 def test_terminal_distribution_over_every_stage_and_s_sums_to_one(n_final, p):
     # every (s, stage) pair, not only the terminal outcomes: a stage-1 s
     # above a1 continues, so it must carry no probability of stopping
-    nf = DESIGN.n if n_final is None else n_final
+    design = DESIGN if n_final is None else DESIGN.with_final_n(n_final)
     total = math.fsum(
-        terminal_distribution(s, stage, p, DESIGN, n_final)
-        for stage, top in ((1, DESIGN.n1), (2, nf))
+        terminal_distribution(s, stage, p, design)
+        for stage, top in ((1, design.n1), (2, design.n))
         for s in range(-1, top + 1)
     )
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_terminal_distribution_indexes_the_kernel_rows():
-    row = terminal_pmf(DESIGN, 0.3, 33)
+    at33 = DESIGN.with_final_n(33)
+    row = terminal_pmf(at33, 0.3)
     for s in range(-2, DESIGN.n1 + 1):
         want = row[s] if 0 <= s <= DESIGN.a1 else 0.0
-        assert terminal_distribution(s, 1, 0.3, DESIGN, 33) == want
+        assert terminal_distribution(s, 1, 0.3, at33) == want
     for s in range(-2, 34):
         want = row[s] if s > DESIGN.a1 else 0.0
-        assert terminal_distribution(s, 2, 0.3, DESIGN, 33) == want
+        assert terminal_distribution(s, 2, 0.3, at33) == want
     # the stage-1 terms are the scalar kernel's, bit for bit
     for p in (0.01, 0.1, 0.3, 0.5, 0.99):
         for s in range(DESIGN.a1 + 1):
@@ -235,7 +247,7 @@ def test_terminal_distribution_rejects_impossible_arguments():
     with pytest.raises(ValueError, match="final sample size"):
         terminal_distribution(30, 2, 0.3, DESIGN)
     with pytest.raises(ValueError, match="final sample size"):
-        terminal_distribution(27, 2, 0.3, DESIGN, 26)
+        terminal_distribution(27, 2, 0.3, DESIGN.with_final_n(26))
     with pytest.raises(ValueError, match="stage must be 1 or 2"):
         terminal_distribution(3, 3, 0.3, DESIGN)
 
@@ -521,3 +533,8 @@ def test_with_final_n():
     assert shifted.n == 26
     assert (shifted.a1, shifted.a, shifted.n1) == (1, 5, 10)
     assert shifted.targets == TARGETS
+    # an a that the realised size cannot exceed becomes a1; one it can
+    # exceed is kept
+    wide = TwoStageDesign(a1=1, a=12, n1=10, n=29, targets=TARGETS)
+    for m, a in ((11, 1), (12, 1), (13, 12), (40, 12)):
+        assert wide.with_final_n(m) == TwoStageDesign(a1=1, a=a, n1=10, n=m, targets=TARGETS)

@@ -1,5 +1,6 @@
 """Conditional-error testing and error rates under sample-size deviation."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,9 +8,10 @@ from scipy.stats import binom as scipy_binom
 
 from oracles import stage_paths
 from twostage import deviation
-from twostage.design import DesignTargets, TwoStageDesign, terminal_pmf
+from twostage.design import DesignTargets, TwoStageDesign, continuation_tail, terminal_pmf
 from twostage.deviation import (
     DeviatedAnalysis,
+    InterpretationProbabilities,
     conditional_error,
     ek_reject,
     interpretation_probabilities,
@@ -111,14 +113,13 @@ def test_ek_matches_path_enumeration():
 
 
 def test_deviated_analysis_validation():
-    with pytest.raises(ValueError):
-        DeviatedAnalysis(design=DESIGN, n_an=10, s1=3, s_an=3)  # no stage-2 data
+    # no stage-2 data
+    with pytest.raises(ValueError, match="final sample size 10 must exceed n1=10"):
+        DeviatedAnalysis(design=DESIGN, n_an=10, s1=3, s_an=3)
     with pytest.raises(ValueError):
         DeviatedAnalysis(design=DESIGN, n_an=29, s1=1, s_an=4)  # stopped at stage 1
     with pytest.raises(ValueError):
         DeviatedAnalysis(design=DESIGN, n_an=29, s1=3, s_an=2)  # s_an < s1
-    with pytest.raises(ValueError):
-        DeviatedAnalysis(design=DESIGN, n_an=29, s1=3, s_an=4, n1_realized=12)
 
 
 @pytest.mark.parametrize(
@@ -168,9 +169,9 @@ def test_interpretation_probabilities_match_path_enumeration():
 def test_interpretation_probabilities_build_each_kernel_once(monkeypatch):
     calls = []
 
-    def counted(design, p, n_final=None):
+    def counted(design, p):
         calls.append(p)
-        return terminal_pmf(design, p, n_final)
+        return terminal_pmf(design, p)
 
     monkeypatch.setattr(deviation, "terminal_pmf", counted)
     probs = interpretation_probabilities(DESIGN, n_an=31)
@@ -182,10 +183,39 @@ def test_interpretation_probabilities_build_each_kernel_once(monkeypatch):
         ("naive_at_least_p1_at_p0", lambda est: est >= 0.3, 0.1),
         ("naive_at_least_p1_at_p1", lambda est: est >= 0.3, 0.3),
     ):
-        row = terminal_pmf(DESIGN, p, 31)
+        row = terminal_pmf(DESIGN.with_final_n(31), p)
         terms = [row[s] for s in range(2) if indicator(s / 10)]
         terms += [row[s] for s in range(2, 32) if indicator(s / 31)]
         assert getattr(probs, name) == min(1.0, math.fsum(terms))
+
+
+# a planned design, and one whose a = 6 the realised sizes 5 and 6 cannot
+# exceed
+REPLACED_CASES = [(DESIGN, n_an) for n_an in (11, 26, 29, 33, 40)] + [
+    (TwoStageDesign(a1=1, a=6, n1=4, n=9, targets=TARGETS), n_an) for n_an in (5, 6, 7, 9, 12)
+]
+
+
+@pytest.mark.parametrize("design, n_an", REPLACED_CASES)
+def test_realised_size_analyses_equal_an_explicitly_replaced_design(design, n_an):
+    # neither analysis reads the analysed design's a, so a design with n
+    # replaced by n_an and a by a1 gives the same floats, bit for bit
+    replaced = dataclasses.replace(design, a=design.a1, n=n_an)
+    for p in (0.0, 0.1, 0.3, 0.77, 1.0):
+        old = continuation_tail(terminal_pmf(replaced, p), design.a + 1)
+        assert reject_prob_retained(p, design, n_an) == old
+    naive = [s / replaced.size_at(s) for s in range(n_an + 1)]
+    at_p0, at_p1 = terminal_pmf(replaced, 0.1), terminal_pmf(replaced, 0.3)
+
+    def prob(indicator, row):
+        return min(1.0, math.fsum(pr for est, pr in zip(naive, row) if indicator(est)))
+
+    assert interpretation_probabilities(design, n_an=n_an) == InterpretationProbabilities(
+        naive_above_p0_at_p0=prob(lambda est: est > 0.1, at_p0),
+        naive_above_p0_at_p1=prob(lambda est: est > 0.1, at_p1),
+        naive_at_least_p1_at_p0=prob(lambda est: est >= 0.3, at_p0),
+        naive_at_least_p1_at_p1=prob(lambda est: est >= 0.3, at_p1),
+    )
 
 
 @pytest.mark.parametrize(

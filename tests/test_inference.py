@@ -318,6 +318,19 @@ def test_estimate_all_builds_the_analysis_design_once(monkeypatch):
     assert builds == [26]
 
 
+@pytest.mark.parametrize(
+    "design, m",
+    [(DESIGN, 26), (DESIGN, 33), (TwoStageDesign(a1=1, a=12, n1=10, n=29), 12)],
+    ids=lambda v: v.compact() if isinstance(v, TwoStageDesign) else str(v),
+)
+def test_analysis_design_is_the_design_with_the_realised_final_n(design, m):
+    # the last case has a = 12 >= m, which the realised size cannot exceed
+    analysed = AnalysisState(design=design, s=design.a1 + 1, m=m).analysis_design
+    assert analysed == design.with_final_n(m)
+    assert AnalysisState(design=design, s=0, m=design.n1).analysis_design == design
+    assert AnalysisState(design=design, s=design.n, m=design.n).analysis_design == design
+
+
 def test_analysis_state_validation():
     with pytest.raises(ValueError):
         AnalysisState(design=DESIGN, s=5, m=10)  # continued, not stopped
