@@ -52,6 +52,7 @@ from .inference import (
     estimate_all,
     interval_for_outcome,
     p_value,
+    point_estimates,
 )
 
 EXIT_OK = 0
@@ -178,20 +179,10 @@ def _cmd_oc(args) -> int:
 
 def _cmd_estimate(args) -> int:
     state = _state_from_args(args)
-    estimates = estimate_all(state)
-    wanted = (
-        list(estimates.to_json_dict())
-        if args.methods == "all"
-        else [m.strip() for m in args.methods.split(",") if m.strip()]
-    )
-    available = estimates.to_json_dict()
-    unknown = [m for m in wanted if m not in available]
-    if unknown:
-        raise ValueError(
-            f"unknown estimator(s) {', '.join(unknown)}; "
-            f"choose from {', '.join(available)}"
-        )
-    selected = {name: available[name] for name in wanted}
+    if args.methods == "all":
+        selected = estimate_all(state).to_json_dict()
+    else:
+        selected = point_estimates(state, [m.strip() for m in args.methods.split(",") if m.strip()])
     payload = {"s": args.s, "m": args.m, "estimates": selected}
     rows = [(name, _format_float(value)) for name, value in selected.items()]
     _emit(payload, args.format, rows)
@@ -201,14 +192,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_ci(args) -> int:
     state = _state_from_args(args)
     ci = interval_for_outcome(args.method, state.s, state.analysis_design, args.level)
-    payload = {
-        "s": args.s,
-        "m": args.m,
-        "method": ci.method,
-        "level": ci.level,
-        "low": ci.low,
-        "upp": ci.upp,
-    }
+    payload = {"s": args.s, "m": args.m, **ci.to_json_dict()}
     rows = [
         ("method", ci.method),
         ("level", _format_float(ci.level)),

@@ -164,7 +164,7 @@ def terminal_pmf(design: TwoStageDesign, p: float) -> list[float]:
 
     Every path that continues and ends with s successes has probability
     p^s (1 - p)^(n - s), so row[s] = c_s p^s (1 - p)^(n - s) for s > a1,
-    with the path count c_s of _log_counts, which does not depend on p.
+    with the path count c_s of path_counts, which does not depend on p.
     The design's own cap bounds the row.
     """
     n = design.n
@@ -182,26 +182,28 @@ def terminal_pmf(design: TwoStageDesign, p: float) -> list[float]:
     return row
 
 
-@lru_cache(maxsize=256)
-def _log_counts(a1: int, n1: int, n_final: int) -> tuple[float, ...]:
-    """log c_s for s = a1 + 1..n_final, where c_s is the number of ways to
-    continue past a1 and end with s total successes:
-    c_s = sum over i > a1 of C(n1, i) C(n_final - n1, s - i), which is
-    positive for exactly these s.
-
-    The counts are exact integers, the coefficients of
-    (sum over i > a1 of C(n1, i) x^i) (1 + x)^(n_final - n1), built by
-    Pascal's rule; math.log takes an int of any size, so counts beyond the
-    float range (C(2000, 1000) is about 1e600) never overflow. The row is
-    keyed by design, not by p, so every p of a root solve reads one row.
-    At most 256 rows of at most MAX_SAMPLE_SIZE floats are kept, about
-    32 bytes each (tuple slot and float): under 3.5 MB for rows of a few
-    hundred, 41 MB for rows at the cap.
-    """
+@lru_cache(maxsize=16)
+def path_counts(a1: int, n1: int, n_final: int) -> tuple[int, ...]:
+    """c_s for s = a1 + 1..n_final: the number of ways to continue past a1
+    and end with s total successes, sum over i > a1 of
+    C(n1, i) C(n_final - n1, s - i), positive for exactly these s. Built
+    exactly by Pascal's rule and keyed by design, not by p. As
+    c_s <= C(n_final, s), a row takes no more bytes than the binomial
+    coefficients of n_final: 11 KB at n_final = 200, 2.6 MB (built in 2 to
+    2.6 s) at MAX_SAMPLE_SIZE. At most 16 rows are kept: under 42 MB."""
     row = [math.comb(n1, i) for i in range(a1 + 1, n1 + 1)]
     for _ in range(n_final - n1):
         row = list(map(add, row + [0], [0] + row))
-    return tuple(map(math.log, row))
+    return tuple(row)
+
+
+@lru_cache(maxsize=256)
+def _log_counts(a1: int, n1: int, n_final: int) -> tuple[float, ...]:
+    """log c_s of path_counts; math.log takes an int of any size, so counts
+    beyond the float range (C(2000, 1000) is about 1e600) never overflow.
+    At most 256 rows of at most MAX_SAMPLE_SIZE floats are kept, about
+    32 bytes each (tuple slot and float): 41 MB for rows at the cap."""
+    return tuple(map(math.log, path_counts(a1, n1, n_final)))
 
 
 def continuation_tail(row: list[float], s: int) -> float:

@@ -16,8 +16,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate, islice
 from operator import mul
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .binomial import (
     _log_factorials,
@@ -27,7 +28,7 @@ from .binomial import (
     normal_quantile,
     solve_monotone_root,
 )
-from .design import TwoStageDesign, continuation_tail, terminal_pmf
+from .design import TwoStageDesign, continuation_tail, path_counts, terminal_pmf
 
 ROOT_TOL = 1e-10
 
@@ -75,9 +76,6 @@ class Estimate:
     value: float
     clamped: bool = False
     note: Optional[str] = None
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -145,27 +143,26 @@ def _expectation(values: Iterable[float], design: TwoStageDesign, p: float) -> f
 
     ``values`` is indexed by the total s and depends only on the outcome,
     so a root solve builds it once and each evaluation costs one
-    terminal_pmf call. The outcome probabilities are taken before the
-    values are read, so a design above the sample-size cap raises before
-    a lazy ``values`` computes anything. fsum rounds the exact sum of the
-    products once, so the result does not depend on their order.
+    terminal_pmf call. fsum rounds the exact sum of the products once, so
+    the result does not depend on their order.
     """
     return math.fsum(map(mul, values, terminal_pmf(design, p)))
 
 
-def _naive_procedure(s: int, m: int, design: TwoStageDesign) -> float:
-    return s / m
+def _naive_row(design: TwoStageDesign) -> list[float]:
+    """The sample proportion of every terminal outcome, indexed by total s."""
+    return [s / design.size_at(s) for s in range(design.n + 1)]
 
 
 def estimator_bias(estimator: str, p: float, design: TwoStageDesign) -> tuple[float, float]:
     """Expected value and bias of the named point-estimation procedure
     ("naive", "umvue" or "umvcue")."""
-    fn = _PROCEDURES.get(estimator)
-    if fn is None:
-        raise ValueError(
-            f"unknown estimator {estimator!r}; choose from {', '.join(_PROCEDURES)}"
-        )
-    values = (fn(s, design.size_at(s), design) for s in range(design.n + 1))
+    if estimator == "naive":
+        values: Iterable[float] = _naive_row(design)
+    elif estimator in _EXACT:
+        values = map(float, _exact_row(estimator, design))
+    else:
+        raise ValueError(f"unknown estimator {estimator!r}; choose from naive, umvue, umvcue")
     expected = _expectation(values, design, p)
     return expected, expected - p
 
@@ -184,22 +181,52 @@ def estimate_bias_adjusted(state: AnalysisState) -> Estimate:
     """The p solving p = naive - Bias(naive | p), i.e. E(naive | p) = naive."""
     d = state.analysis_design
     naive = estimate_naive(state.s, state.m)
-    values = [_naive_procedure(s, d.size_at(s), d) for s in range(d.n + 1)]
+    values = _naive_row(d)
     root = solve_monotone_root(lambda p: _expectation(values, d, p), naive, tol=ROOT_TOL)
     note = "no root in [0, 1]; clamped to boundary" if root.out_of_bracket else None
     return Estimate(value=root.value, clamped=root.out_of_bracket, note=note)
 
 
-def umvue_fraction(s: int, m: int, design: TwoStageDesign) -> Fraction:
-    """Uniform minimum variance unbiased estimate, in exact arithmetic."""
+def _stage2_counts(design: TwoStageDesign) -> Iterator[tuple[int, int, int]]:
+    """(s, M_{s-1}, c_s) for each stage-2 total s = a1 + 1..n, in one pass.
+
+    c_s = path_counts(a1, n1, n)[s - a1 - 1] counts the continuing paths
+    that end with s successes, and M_{s-1} those whose last patient
+    responds. Dropping that patient leaves a continuing path of n - 1
+    patients with s - 1 or s successes, so c_s = M_s + M_{s-1}, with
+    M_{a1} = 0 (Pascal's rule for the last patient).
+    """
+    counts = path_counts(design.a1, design.n1, design.n)
+    last = accumulate(counts, lambda m, c: c - m, initial=0)
+    return zip(range(design.a1 + 1, design.n + 1), last, counts)
+
+
+# each exact estimator from _stage2_counts: the UMVCUE is the chance that the
+# last patient responds, given the outcome; given the outcome, E(S1) is
+# n1 UMVUE, E(S2) is n2 UMVCUE and S1 + S2 = s (the Rao-Blackwell identity)
+_EXACT: dict[str, Callable[[int, int, int, TwoStageDesign], Fraction]] = {
+    "umvue": lambda s, last, count, d: Fraction(s * count - d.n2 * last, d.n1 * count),
+    "umvcue": lambda s, last, count, d: Fraction(last, count),
+}
+
+
+def _exact_row(name: str, design: TwoStageDesign) -> list[Fraction]:
+    """The named exact estimate of every terminal outcome, indexed by s."""
+    stage1 = [Fraction(s, design.n1) for s in range(design.a1 + 1)]
+    return stage1 + [_EXACT[name](*counts, design) for counts in _stage2_counts(design)]
+
+
+def _exact_estimate(name: str, s: int, m: int, design: TwoStageDesign) -> Fraction:
+    """_exact_row's entry at the terminal outcome (s, m), by a pass to s."""
+    _check_outcome(s, m, design)
     if m == design.n1:
-        return Fraction(s, design.n1)
-    n2 = m - design.n1
-    lo = max(design.a1 + 1, s - n2)
-    hi = min(s, design.n1)
-    num = sum(math.comb(design.n1 - 1, i - 1) * math.comb(n2, s - i) for i in range(lo, hi + 1))
-    den = sum(math.comb(design.n1, i) * math.comb(n2, s - i) for i in range(lo, hi + 1))
-    return Fraction(num, den)
+        return Fraction(s, m)
+    return _EXACT[name](*next(islice(_stage2_counts(design), s - design.a1 - 1, None)), design)
+
+
+def umvue_fraction(s: int, m: int, design: TwoStageDesign) -> Fraction:
+    """Uniform minimum variance unbiased estimate of the outcome (s, m), exact."""
+    return _exact_estimate("umvue", s, m, design)
 
 
 def estimate_umvue(state: AnalysisState) -> float:
@@ -207,19 +234,8 @@ def estimate_umvue(state: AnalysisState) -> float:
 
 
 def umvcue_fraction(s: int, m: int, design: TwoStageDesign) -> Fraction:
-    """Conditionally (on reaching stage 2) unbiased estimate, exact."""
-    if m == design.n1:
-        return Fraction(s, design.n1)
-    n2 = m - design.n1
-    lo = max(design.a1 + 1, s - n2)
-    hi = min(s, design.n1)
-    num = sum(
-        math.comb(design.n1, i) * math.comb(n2 - 1, s - i - 1)
-        for i in range(lo, hi + 1)
-        if 0 <= s - i - 1 <= n2 - 1
-    )
-    den = sum(math.comb(design.n1, i) * math.comb(n2, s - i) for i in range(lo, hi + 1))
-    return Fraction(num, den)
+    """Conditionally (on reaching stage 2) unbiased estimate of (s, m), exact."""
+    return _exact_estimate("umvcue", s, m, design)
 
 
 def estimate_umvcue(state: AnalysisState) -> float:
@@ -374,32 +390,31 @@ def estimate_median_unbiased(state: AnalysisState) -> Estimate:
     return Estimate(value=root.value, clamped=root.out_of_bracket, note=note)
 
 
+# each field of EstimateSet from one analysis state; the functions are
+# looked up when called, so one replaced on the module is the one called
+_ESTIMATES: dict[str, Callable[[AnalysisState], float]] = {
+    "naive": lambda state: estimate_naive(state.s, state.m),
+    "bias_subtracted": lambda state: estimate_bias_subtracted(state).value,
+    "bias_adjusted": lambda state: estimate_bias_adjusted(state).value,
+    "umvue": lambda state: estimate_umvue(state),
+    "umvcue": lambda state: estimate_umvcue(state),
+    "conditional": lambda state: estimate_conditional(state),
+    "median_unbiased": lambda state: estimate_median_unbiased(state).value,
+}
+
+
+def point_estimates(state: AnalysisState, names: Sequence[str]) -> dict[str, float]:
+    """The named fields of EstimateSet for one analysis state, in the order
+    named. Only these are computed; an unknown name raises ValueError first."""
+    unknown = ", ".join(name for name in names if name not in _ESTIMATES)
+    if unknown:
+        raise ValueError(f"unknown estimator(s) {unknown}; choose from {', '.join(_ESTIMATES)}")
+    return {name: _ESTIMATES[name](state) for name in names}
+
+
 def estimate_all(state: AnalysisState) -> EstimateSet:
     """All seven point estimates for one analysis state."""
-    return EstimateSet(
-        naive=estimate_naive(state.s, state.m),
-        bias_subtracted=estimate_bias_subtracted(state).value,
-        bias_adjusted=estimate_bias_adjusted(state).value,
-        umvue=estimate_umvue(state),
-        umvcue=estimate_umvcue(state),
-        conditional=estimate_conditional(state),
-        median_unbiased=estimate_median_unbiased(state).value,
-    )
-
-
-def _umvue_procedure(s: int, m: int, design: TwoStageDesign) -> float:
-    return float(umvue_fraction(s, m, design))
-
-
-def _umvcue_procedure(s: int, m: int, design: TwoStageDesign) -> float:
-    return float(umvcue_fraction(s, m, design))
-
-
-_PROCEDURES: dict[str, Callable[[int, int, TwoStageDesign], float]] = {
-    "naive": _naive_procedure,
-    "umvue": _umvue_procedure,
-    "umvcue": _umvcue_procedure,
-}
+    return EstimateSet(**point_estimates(state, list(_ESTIMATES)))
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +471,7 @@ def _umvue_ranks(a1: int, n1: int, n: int) -> Sequence[int]:
     each for phase II sizes."""
     from array import array  # see _log_continuation_row
 
-    design = TwoStageDesign(a1=a1, a=a1, n1=n1, n=n)
-    estimates = [umvue_fraction(s, design.size_at(s), design) for s in range(n + 1)]
+    estimates = _exact_row("umvue", TwoStageDesign(a1=a1, a=a1, n1=n1, n=n))
     rank = {value: r for r, value in enumerate(sorted(set(estimates)))}
     return array("H", [rank[value] for value in estimates])
 

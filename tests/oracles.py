@@ -416,6 +416,36 @@ def conditional_mle_scan_oracle(s, n, a1, n1, tol=1e-10):
     return min(1.0, max(0.0, x))
 
 
+def umvue_fraction_sum(s, m, design):
+    """The UMVUE of the terminal outcome (s, m), exact, by its defining
+    sums over the stage-1 total i: of the continuing paths that end at s,
+    the share whose first patient responds, sum C(n1 - 1, i - 1) C(n2, s - i)
+    over sum C(n1, i) C(n2, s - i); s / n1 at stage 1."""
+    n1 = design.n1
+    if m == n1:
+        return Fraction(s, n1)
+    n2 = m - n1
+    stage1 = range(max(design.a1 + 1, s - n2), min(s, n1) + 1)
+    num = sum(math.comb(n1 - 1, i - 1) * math.comb(n2, s - i) for i in stage1)
+    den = sum(math.comb(n1, i) * math.comb(n2, s - i) for i in stage1)
+    return Fraction(num, den)
+
+
+def umvcue_fraction_sum(s, m, design):
+    """The UMVCUE of the terminal outcome (s, m), exact, by its defining
+    sums: the share of those paths whose last patient responds,
+    sum C(n1, i) C(n2 - 1, s - i - 1) over sum C(n1, i) C(n2, s - i);
+    s / n1 at stage 1."""
+    n1 = design.n1
+    if m == n1:
+        return Fraction(s, n1)
+    n2 = m - n1
+    stage1 = range(max(design.a1 + 1, s - n2), min(s, n1) + 1)
+    num = sum(math.comb(n1, i) * math.comb(n2 - 1, s - i - 1) for i in stage1 if s - i >= 1)
+    den = sum(math.comb(n1, i) * math.comb(n2, s - i) for i in stage1)
+    return Fraction(num, den)
+
+
 def midp_limits_oracle(s, design, level=0.95, tol=1e-10):
     """(low, upp) of the mid-p interval of the terminal outcome with total
     s, with every outcome's UMVUE fraction compared with the observed one
@@ -425,9 +455,8 @@ def midp_limits_oracle(s, design, level=0.95, tol=1e-10):
 
     from twostage.binomial import solve_monotone_root
     from twostage.design import terminal_pmf
-    from twostage.inference import umvue_fraction
 
-    ranks = [umvue_fraction(k, design.size_at(k), design) for k in range(design.n + 1)]
+    ranks = [umvue_fraction_sum(k, design.size_at(k), design) for k in range(design.n + 1)]
     observed = ranks[s]
     weights = [0.0 if r < observed else 0.5 if r == observed else 1.0 for r in ranks]
 

@@ -140,6 +140,28 @@ def test_estimate_method_subset_and_unknown(capsys):
     assert "bogus" in err
 
 
+def test_estimate_method_subset_computes_only_those(capsys, monkeypatch):
+    argv = ["estimate", "--design", "1/10,5/29", "--s", "6", "--m", "29", "--format", "json"]
+    _, out, _ = run(capsys, *argv)
+    everything = json.loads(out)["estimates"]
+
+    def never(*args, **kwargs):
+        raise AssertionError("computed an estimate that was not asked for")
+
+    monkeypatch.setattr("twostage.inference.solve_monotone_root", never)
+    monkeypatch.setattr("twostage.inference.estimate_conditional", never)
+    status, out, _ = run(capsys, *argv, "--methods", "umvue,umvcue")
+    assert status == 0
+    assert json.loads(out)["estimates"] == {
+        "umvue": everything["umvue"], "umvcue": everything["umvcue"]
+    }
+    # an unknown name exits 2 before any estimate is computed
+    monkeypatch.setattr("twostage.inference.estimate_umvue", never)
+    status, _, err = run(capsys, *argv, "--methods", "umvue,bogus")
+    assert status == 2
+    assert err.startswith("INVALID_INPUT:") and "bogus" in err
+
+
 def test_estimate_invalid_outcome(capsys):
     status, _, err = run(
         capsys, "estimate", "--design", "1/10,5/29", "--s", "1", "--m", "29"
@@ -244,9 +266,10 @@ def test_sample_size_above_the_cap_is_invalid_input(capsys, monkeypatch, argv):
     def never(*args, **kwargs):
         raise AssertionError("analysis started above the sample-size cap")
 
-    for name in ("solve_monotone_root", "terminal_pmf", "umvue_fraction"):
+    for name in ("solve_monotone_root", "terminal_pmf", "umvue_fraction", "path_counts"):
         monkeypatch.setattr(f"twostage.inference.{name}", never)
     # nor is any path-count row built, whichever module asks for it
+    monkeypatch.setattr("twostage.design.path_counts", never)
     monkeypatch.setattr("twostage.design._log_counts", never)
     status, _, err = run(capsys, *argv)
     assert status == 2
@@ -517,13 +540,14 @@ def test_cli_import_builds_no_parser():
 
 
 def test_cli_import_builds_no_p_independent_table():
-    # the log-factorial table and the inference caches, and the array module
-    # that stores their rows, are loaded on first use, so a command that
-    # never reads them does not pay for them
+    # the log-factorial table, the path-count rows and the inference caches,
+    # and the array module that stores some of their rows, are loaded on
+    # first use, so a command that never reads them does not pay for them
     code = (
         "import sys, twostage.cli\n"
-        "from twostage import binomial as b, inference as i\n"
-        "caches = (b._log_factorials, i._mle_grid, i._log_continuation_row, i._umvue_ranks)\n"
+        "from twostage import binomial as b, design as d, inference as i\n"
+        "caches = (b._log_factorials, d.path_counts, d._log_counts, i._mle_grid,\n"
+        "          i._log_continuation_row, i._umvue_ranks)\n"
         "print([c.cache_info().currsize for c in caches], 'array' in sys.modules)"
     )
-    assert _fresh_interpreter(code) == "[0, 0, 0, 0] False"
+    assert _fresh_interpreter(code) == "[0, 0, 0, 0, 0, 0] False"

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import sys
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from twostage.design import (
     continuation_tail,
     expected_sample_size,
     operating_characteristics,
+    path_counts,
     pet,
     reject_prob,
     search_designs,
@@ -178,6 +180,31 @@ def test_terminal_pmf_builds_one_count_row_per_design():
         terminal_pmf(design, k / 201)
     info = _log_counts.cache_info()
     assert (info.misses, info.hits) == (1, 199)
+
+
+def row_bytes(row):
+    return sys.getsizeof(row) + sum(map(sys.getsizeof, row))
+
+
+def test_count_rows_at_the_cap_keep_their_stated_byte_bounds():
+    # each c_s is at most C(n, s), so no row at the cap outgrows the
+    # binomial coefficients of MAX_SAMPLE_SIZE: 2.6 MB, and under 42 MB for
+    # the 16 integer rows kept; the 256 log rows take 41 MB
+    n = MAX_SAMPLE_SIZE
+    # C(n, s + 1) = C(n, s) (n - s) / (s + 1)
+    binomial = accumulate(range(n), lambda c, s: c * (n - s) // (s + 1), initial=1)
+    binomial_bytes = row_bytes(tuple(binomial))
+    assert binomial_bytes <= 2.6e6
+    try:
+        counts = path_counts(10, 50, n)
+        assert row_bytes(counts) <= binomial_bytes
+        assert path_counts.cache_info().maxsize * binomial_bytes < 42e6
+        logs = _log_counts(10, 50, n)
+        assert logs == tuple(map(math.log, counts))
+        assert _log_counts.cache_info().maxsize * row_bytes(logs) <= 41e6
+    finally:
+        path_counts.cache_clear()
+        _log_counts.cache_clear()
 
 
 def test_terminal_pmf_rejects_a_final_size_above_the_cap():

@@ -1,6 +1,8 @@
 """Point estimation, p-values, confidence intervals, and exact coverage."""
 
 import math
+import operator
+import random
 import re
 from fractions import Fraction
 
@@ -19,6 +21,8 @@ from oracles import (
     stage_paths,
     stagewise_tails_mp,
     terminal_probs,
+    umvcue_fraction_sum,
+    umvue_fraction_sum,
 )
 from twostage import inference
 from twostage.binomial import binom_cdf, binom_upper_tail, solve_monotone_root
@@ -130,6 +134,84 @@ def test_umvcue_conditionally_unbiased(design):
                 num += float(umvcue_fraction(s, m, design)) * pr
                 den += pr
         assert num / den == pytest.approx(p, abs=1e-8)
+
+
+def random_designs(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n1 = rng.randint(1, 40)
+        a1 = rng.randrange(n1)
+        yield TwoStageDesign(a1=a1, a=a1, n1=n1, n=n1 + rng.randint(1, 60))
+
+
+def test_exact_estimates_equal_their_defining_sums():
+    # the count row and its one pass give the very fractions of the
+    # defining binomial sums, at every terminal outcome of 200 designs
+    for design in random_designs(200, seed=9):
+        for s in range(design.n + 1):
+            m = design.size_at(s)
+            assert umvue_fraction(s, m, design) == umvue_fraction_sum(s, m, design), (design, s)
+            assert umvcue_fraction(s, m, design) == umvcue_fraction_sum(s, m, design), (design, s)
+
+
+@pytest.mark.parametrize(
+    "design",
+    [
+        TwoStageDesign(a1=0, a=3, n1=6, n=20),  # a1 = 0
+        TwoStageDesign(a1=5, a=7, n1=6, n=20),  # a1 = n1 - 1
+        TwoStageDesign(a1=1, a=3, n1=10, n=11),  # n2 = 1
+        TwoStageDesign(a1=0, a=0, n1=1, n=2),  # the smallest design
+        DESIGN.with_final_n(26),  # realised sizes below and above the plan
+        DESIGN.with_final_n(40),
+    ],
+    ids=lambda d: d.compact(),
+)
+def test_exact_estimates_at_the_edges(design):
+    a1, n1, n = design.a1, design.n1, design.n
+    for s in range(n + 1):
+        m = design.size_at(s)
+        assert umvue_fraction(s, m, design) == umvue_fraction_sum(s, m, design), s
+        assert umvcue_fraction(s, m, design) == umvcue_fraction_sum(s, m, design), s
+    # at the smallest continuing total the last patient cannot have
+    # responded, and at s = n every patient did
+    assert umvcue_fraction(a1 + 1, n, design) == 0
+    assert umvue_fraction(n, n, design) == umvcue_fraction(n, n, design) == 1
+    if a1 == n1 - 1:
+        # every continuing path has s1 = n1
+        assert {umvue_fraction(s, n, design) for s in range(a1 + 1, n + 1)} == {1}
+
+
+def test_exact_estimates_reject_an_outcome_the_design_cannot_end_in():
+    for s, m in [(2, 10), (1, 29), (30, 29), (6, 20)]:
+        with pytest.raises(ValueError):
+            umvue_fraction(s, m, DESIGN)
+        with pytest.raises(ValueError):
+            umvcue_fraction(s, m, DESIGN)
+
+
+def test_rao_blackwell_identity_is_exact():
+    # given the outcome, n1 UMVUE = E(S1) and n2 UMVCUE = E(S2), and
+    # S1 + S2 = s
+    for design in [*DESIGNS, *random_designs(50, seed=10)]:
+        for s in range(design.a1 + 1, design.n + 1):
+            total = design.n1 * umvue_fraction(s, design.n, design)
+            total += design.n2 * umvcue_fraction(s, design.n, design)
+            assert total == s, (design, s)
+
+
+@given(
+    n1=st.integers(min_value=1, max_value=40),
+    a1_share=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    n2=st.integers(min_value=1, max_value=80),
+)
+@settings(max_examples=200, deadline=None)
+def test_stage2_umvues_do_not_fall_as_s_grows(n1, a1_share, n2):
+    # ties occur (every stage-2 UMVUE is 1 at a1 = n1 - 1); nothing in the
+    # package relies on this order yet
+    a1 = int(a1_share * n1)
+    design = TwoStageDesign(a1=a1, a=a1, n1=n1, n=n1 + n2)
+    umvues = [umvue_fraction(s, design.n, design) for s in range(a1 + 1, design.n + 1)]
+    assert umvues == sorted(umvues)
 
 
 def test_estimator_bias_against_path_enumeration():
@@ -375,6 +457,15 @@ def test_analysis_state_takes_s1_by_keyword_only():
 def test_estimator_bias_rejects_an_unknown_name():
     with pytest.raises(ValueError, match="unknown estimator 'mle'"):
         estimator_bias("mle", 0.3, DESIGN)
+
+
+@pytest.mark.parametrize("design", DESIGNS, ids=lambda d: d.compact())
+def test_exact_estimator_bias_reads_the_defining_sums(design):
+    for estimator, oracle in (("umvue", umvue_fraction_sum), ("umvcue", umvcue_fraction_sum)):
+        values = [float(oracle(s, design.size_at(s), design)) for s in range(design.n + 1)]
+        for p in (0.05, 0.3, 0.77):
+            expected = math.fsum(map(operator.mul, values, terminal_pmf(design, p)))
+            assert estimator_bias(estimator, p, design) == (expected, expected - p)
 
 
 # ---------------------------------------------------------------------------
