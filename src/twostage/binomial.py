@@ -26,8 +26,9 @@ _STD_NORMAL = NormalDist()
 # Largest sample size the binomial kernel, the terminal-outcome kernel, the
 # design search's n_max, the deviation analyses and the audit accept. It
 # bounds the work and memory of one analysis: a row of exact path counts at
-# this size takes 2 to 2.6 s to build, 2.6 MB to keep as integers and 160 KB
-# as logs (see design.path_counts and design._log_counts).
+# this size takes 2 to 2.6 s to build, 2.6 MB to keep as integers and 40 KB
+# as logs, and the one store of such rows (design._CountRows) holds at most
+# 2^16 counts, under 60 MB in all (see design.path_counts).
 MAX_SAMPLE_SIZE = 5000
 
 

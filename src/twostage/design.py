@@ -13,10 +13,11 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from collections import OrderedDict
+from functools import reduce
 from itertools import accumulate, repeat
 from operator import add, mul
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .binomial import MAX_SAMPLE_SIZE, binom_cdf, binom_pmf_row
 
@@ -153,8 +154,11 @@ class OperatingCharacteristics:
         return dataclasses.asdict(self)
 
 
-def terminal_pmf(design: TwoStageDesign, p: float) -> list[float]:
-    """Exact distribution of the design's terminal outcomes under p.
+def terminal_pmf(
+    design: TwoStageDesign, p: float, start: int = 0, stop: Optional[int] = None
+) -> list[float]:
+    """Exact distribution of the design's terminal outcomes under p, or the
+    slice of it from total start up to, not including, stop.
 
     ``row[s]`` is P(the trial ends with s total successes) for s = 0..n,
     which it does at sample size TwoStageDesign.size_at(s). Rejection
@@ -162,55 +166,126 @@ def terminal_pmf(design: TwoStageDesign, p: float) -> list[float]:
     prefixes, suffixes or weighted sums of this one row. A trial analysed
     at a realised final size m passes design.with_final_n(m).
 
+    The slice follows binom_pmf_row: 0 <= start and stop <= n + 1, with
+    stop defaulting to n + 1, and it returns terminal_pmf(design, p)[start:stop]
+    term for term. Only the terms in the slice are built, so a suffix or a
+    prefix sum costs one exp per term it reads.
+
     Every path that continues and ends with s successes has probability
     p^s (1 - p)^(n - s), so row[s] = c_s p^s (1 - p)^(n - s) for s > a1,
     with the path count c_s of path_counts, which does not depend on p.
     The design's own cap bounds the row.
     """
-    n = design.n
-    row = binom_pmf_row(design.n1, p, 0, design.a1 + 1)
+    n, split = design.n, design.a1 + 1
+    stop = n + 1 if stop is None else stop
+    if start < 0 or stop > n + 1:
+        raise ValueError(f"totals {start}..{stop - 1} are outside 0..{n}")
+    # stage-1 terms s < split; the call also checks p when it builds none
+    lo = min(start, split)
+    row = binom_pmf_row(design.n1, p, lo, max(lo, min(stop, split)))
+    lo = max(start, split)
+    if lo >= stop:
+        return row
     if 0.0 < p < 1.0:
         log_p, log_q, exp = math.log(p), math.log1p(-p), math.exp
-        row += [
-            exp(log_c + s * log_p + (n - s) * log_q)
-            for s, log_c in enumerate(_log_counts(design.a1, design.n1, n), start=design.a1 + 1)
-        ]
+        logs = _log_counts(design.a1, design.n1, n)[lo - split : stop - split]
+        row += [exp(log_c + s * log_p + (n - s) * log_q) for s, log_c in enumerate(logs, start=lo)]
     else:
-        row += [0.0] * (n - design.a1)
-        if p == 1.0:
-            row[n] = 1.0
+        row += [0.0] * (stop - lo)
+        if p == 1.0 and stop == n + 1:
+            row[-1] = 1.0
     return row
 
 
-@lru_cache(maxsize=16)
+# Largest number of path counts _COUNT_ROWS keeps, summed over its rows.
+COUNT_ROW_BUDGET = 1 << 16
+
+# one row of path counts with their logs
+_CountRow = tuple[tuple[int, ...], Sequence[float]]
+
+
+def _pascal_row(a1: int, n1: int, n_final: int) -> _CountRow:
+    """path_counts' row built by Pascal's rule, with its logs in an
+    array('d'). math.log takes an int of any size, so counts beyond the
+    float range (C(2000, 1000) is about 1e600) never overflow."""
+    # imported here, not at module level: array is a shared library, and
+    # importing the CLI should not load it
+    from array import array
+
+    row = [math.comb(n1, i) for i in range(a1 + 1, n1 + 1)]
+    for _ in range(n_final - n1):
+        row = list(map(add, row + [0], [0] + row))
+    logs = array("d", list(map(math.log, row)))
+    return tuple(row), logs
+
+
+class _CountRows:
+    """The path-count rows in use, each with its logs, keyed by
+    (a1, n1, n_final), not by p, in least recently used order.
+
+    A row is built on its first lookup. Rows are evicted, least recently
+    used first, only when the counts kept would exceed ``budget``; rows
+    are not counted, so the short rows of phase II sizes share the budget
+    with the rare row at the cap. Each count is at most an int no larger
+    than C(MAX_SAMPLE_SIZE, 2500), 692 bytes, plus its tuple slot and its
+    8-byte log: at most 708 bytes, so the counts of COUNT_ROW_BUDGET take
+    at most 46.4 MB. A row has at least 2 counts and adds under 400 bytes
+    of containers and key, about 13 MB over 2^15 rows: under 60 MB in all.
+    ``hits`` and ``misses`` count the lookups that found and built a row.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.rows: OrderedDict[tuple[int, int, int], _CountRow] = OrderedDict()
+        self.entries = self.hits = self.misses = 0
+
+    def get(self, a1: int, n1: int, n_final: int) -> _CountRow:
+        key = (a1, n1, n_final)
+        rows = self.rows
+        found = rows.get(key)
+        if found is not None:
+            self.hits += 1
+            rows.move_to_end(key)
+            return found
+        self.misses += 1
+        found = _pascal_row(a1, n1, n_final)
+        self.entries += len(found[0])
+        while self.entries > self.budget and rows:
+            self.entries -= len(rows.popitem(last=False)[1][0])
+        rows[key] = found
+        return found
+
+    def clear(self) -> None:
+        self.rows.clear()
+        self.entries = self.hits = self.misses = 0
+
+
+_COUNT_ROWS = _CountRows(COUNT_ROW_BUDGET)
+
+
 def path_counts(a1: int, n1: int, n_final: int) -> tuple[int, ...]:
     """c_s for s = a1 + 1..n_final: the number of ways to continue past a1
     and end with s total successes, sum over i > a1 of
     C(n1, i) C(n_final - n1, s - i), positive for exactly these s. Built
-    exactly by Pascal's rule and keyed by design, not by p. As
+    exactly by Pascal's rule and kept in _COUNT_ROWS with its logs. As
     c_s <= C(n_final, s), a row takes no more bytes than the binomial
     coefficients of n_final: 11 KB at n_final = 200, 2.6 MB (built in 2 to
-    2.6 s) at MAX_SAMPLE_SIZE. At most 16 rows are kept: under 42 MB."""
-    row = [math.comb(n1, i) for i in range(a1 + 1, n1 + 1)]
-    for _ in range(n_final - n1):
-        row = list(map(add, row + [0], [0] + row))
-    return tuple(row)
+    2.6 s) at MAX_SAMPLE_SIZE."""
+    return _COUNT_ROWS.get(a1, n1, n_final)[0]
 
 
-@lru_cache(maxsize=256)
-def _log_counts(a1: int, n1: int, n_final: int) -> tuple[float, ...]:
-    """log c_s of path_counts; math.log takes an int of any size, so counts
-    beyond the float range (C(2000, 1000) is about 1e600) never overflow.
-    At most 256 rows of at most MAX_SAMPLE_SIZE floats are kept, about
-    32 bytes each (tuple slot and float): 41 MB for rows at the cap."""
-    return tuple(map(math.log, path_counts(a1, n1, n_final)))
+def _log_counts(a1: int, n1: int, n_final: int) -> Sequence[float]:
+    """log c_s of path_counts, an array('d') of 8 bytes a count, kept in
+    _COUNT_ROWS with the counts: 40 KB at MAX_SAMPLE_SIZE."""
+    return _COUNT_ROWS.get(a1, n1, n_final)[1]
 
 
-def continuation_tail(row: list[float], s: int) -> float:
-    """P(the trial ends at or above total s in the stagewise order), a
-    suffix of terminal_pmf's row; for s > a1, P(continue and end with at
-    least s total successes)."""
-    return min(1.0, math.fsum(row[s:]))
+def terminal_tail(design: TwoStageDesign, p: float, s: int) -> float:
+    """P(the trial ends at or above total s in the stagewise order) under
+    p: the suffix of terminal_pmf's row from s, of which only these terms
+    are built; for s > a1, P(continue and end with at least s total
+    successes)."""
+    return min(1.0, math.fsum(terminal_pmf(design, p, s)))
 
 
 def terminal_distribution(s: int, stage: int, p: float, design: TwoStageDesign) -> float:
@@ -231,7 +306,7 @@ def terminal_distribution(s: int, stage: int, p: float, design: TwoStageDesign) 
         raise ValueError(f"stage must be 1 or 2, got {stage}")
     if s < 0 or (design.size_at(s) == design.n1) != (stage == 1):
         return 0.0
-    return terminal_pmf(design, p)[s]
+    return terminal_pmf(design, p, s, s + 1)[0]
 
 
 def pet(p: float, design: TwoStageDesign) -> float:
@@ -250,7 +325,7 @@ def reject_prob(p: float, design: TwoStageDesign) -> float:
     a boundary p-value against the attained type-I error never splits on a
     rounding difference.
     """
-    return continuation_tail(terminal_pmf(design, p), design.a + 1)
+    return terminal_tail(design, p, design.a + 1)
 
 
 def operating_characteristics(
@@ -374,14 +449,15 @@ def _frontier(
     targets: DesignTargets, n_max: int
 ) -> Iterator[tuple[float, int, TwoStageDesign]]:
     """(en_p0, n, design) for each n whose smallest-EN(p0) feasible design
-    has an EN(p0) no larger than that of every smaller n, in increasing n;
+    has an EN(p0) smaller than that of every smaller n, in increasing n;
     at each n ties go to the smaller n1, then the smaller a1.
 
     For each (n1, a1) only the smallest a controlling alpha is kept, as
     that choice maximises power for the pair. The first n yielded is the
     minimax n, the minimum over (en_p0, n) is the null-optimal design, and
-    every n left out is strictly dominated by a smaller n with a smaller
-    EN, so it lies off the admissible hull. Raises ValueError for an n_max
+    every n left out has a smaller n with an EN no larger. Such an n loses
+    to that smaller n at every weight of w*n + (1-w)*EN(p0) but w = 0,
+    where the tie goes to the smaller n, so no consumer selects it. Raises ValueError for an n_max
     below 2 or above MAX_SAMPLE_SIZE, before it builds any row, and
     InfeasibleDesignError, naming the binding constraint, if no n <= n_max
     has a feasible design.
@@ -392,8 +468,10 @@ def _frontier(
     range of n too. The walk starts at the Neyman-Pearson bound
     _np_lower_bound, below which no n has a float-feasible design. Once a
     design is found, it stops after the first n at which every (n1, a1)
-    the power prune admits fails the EN pre-check: EN = n1 + (1 - cdf0) n2
-    does not fall as n grows, so no later n could be yielded either.
+    the power prune admits fails the EN pre-check, a tie with the bound
+    included: EN = n1 + (1 - cdf0) n2 does not fall as n grows, so no later
+    n could be yielded either. So with p0 = 0, where EN = n1 at every n,
+    the walk stops soon after the best design, not at n_max.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
@@ -431,9 +509,10 @@ def _frontier(
                 if first1.sf[a1 + 1] < power:
                     break
                 en_p0 = n1 + (1.0 - first0.cdf[a1]) * n2
-                if en_p0 > bound:
+                if en_p0 >= bound:
                     # EN does not fall as n grows unless cdf0 rounded above
-                    # 1.0 (float rounding is monotone)
+                    # 1.0 (float rounding is monotone), so a pair that only
+                    # ties the bound now can never beat it
                     live = live or first0.cdf[a1] > 1.0
                     continue
                 live = True

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .binomial import binom_pmf, binom_upper_tail
-from .design import TwoStageDesign, continuation_tail, terminal_pmf
+from .design import TwoStageDesign, terminal_pmf, terminal_tail
 from .inference import AnalysisState
 
 
@@ -74,7 +74,7 @@ def ek_reject(analysis: DeviatedAnalysis) -> bool:
 
 def reject_prob_retained(p: float, design: TwoStageDesign, n_an: int) -> float:
     """Rejection probability when the planned bound a is kept at n_an."""
-    return continuation_tail(terminal_pmf(design.with_final_n(n_an), p), design.a + 1)
+    return terminal_tail(design.with_final_n(n_an), p, design.a + 1)
 
 
 def reject_prob_ek(p: float, design: TwoStageDesign, n_an: int) -> float:

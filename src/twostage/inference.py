@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, chain, groupby, islice
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -28,7 +28,7 @@ from .binomial import (
     normal_quantile,
     solve_monotone_root,
 )
-from .design import TwoStageDesign, continuation_tail, path_counts, terminal_pmf
+from .design import TwoStageDesign, path_counts, terminal_pmf, terminal_tail
 
 ROOT_TOL = 1e-10
 
@@ -358,24 +358,24 @@ def _check_outcome(s: int, m: int, d: TwoStageDesign) -> None:
 
 def q_value(s: int, m: int, p: float, design: TwoStageDesign) -> float:
     """Stagewise-ordering tail probability of the terminal outcome (s, m):
-    the suffix of terminal_pmf's row from s.
+    the suffix of terminal_pmf's row from s, the only terms it builds.
 
     At m = n1 this is P(at least s stage-1 successes); at the final sample
     size it sums over continuation paths whose total reaches at least s.
     """
     _check_outcome(s, m, design)
-    return continuation_tail(terminal_pmf(design, p), s)
+    return terminal_tail(design, p, s)
 
 
 def q_lower_value(s: int, m: int, p: float, design: TwoStageDesign) -> float:
     """Probability of an outcome at or below (s, m) in the stagewise order:
-    the prefix of terminal_pmf's row up to s.
+    the prefix of terminal_pmf's row up to s, the only terms it builds.
 
     Complements q_value but includes the observed outcome, so the two sum
     to 1 plus the outcome's own probability.
     """
     _check_outcome(s, m, design)
-    return min(1.0, math.fsum(terminal_pmf(design, p)[: s + 1]))
+    return min(1.0, math.fsum(terminal_pmf(design, p, 0, s + 1)))
 
 
 def estimate_median_unbiased(state: AnalysisState) -> Estimate:
@@ -482,15 +482,36 @@ def _midp_weights(ranks: Sequence[int], observed: int) -> list[float]:
     return [0.0 if r < observed else 0.5 if r == observed else 1.0 for r in ranks]
 
 
+def _nonzero_runs(weights: Sequence[float]) -> list[tuple[int, int, Sequence[float]]]:
+    """(start, stop, weights[start:stop]) for each maximal run of totals
+    whose weight is not 0."""
+    runs, start = [], 0
+    for nonzero, group in groupby(weights, bool):
+        stop = start + len(list(group))
+        if nonzero:
+            runs.append((start, stop, weights[start:stop]))
+        start = stop
+    return runs
+
+
 def ci_midp(state: AnalysisState, level: float = 0.95) -> ConfidenceInterval:
-    """Mid-p interval under the UMVUE ordering of terminal outcomes."""
+    """Mid-p interval under the UMVUE ordering of terminal outcomes.
+
+    The tail builds only the terms of the terminal row whose weight is not
+    0: as the UMVUE rises with s within each stage, these are at most two
+    runs of totals, one per stage. fsum does not depend on the order or on
+    the zeros of its terms, so the tail is the full weighted sum."""
     alpha_ci = _check_level(level)
     d = state.analysis_design
     ranks = _umvue_ranks(d.a1, d.n1, d.n)
-    weights = _midp_weights(ranks, ranks[state.s])
+    runs = _nonzero_runs(_midp_weights(ranks, ranks[state.s]))
 
     def tail(p: float) -> float:
-        return _expectation(weights, d, p)
+        return math.fsum(
+            chain.from_iterable(
+                map(mul, weights, terminal_pmf(d, p, start, stop)) for start, stop, weights in runs
+            )
+        )
 
     low = solve_monotone_root(tail, alpha_ci / 2.0, tol=ROOT_TOL)
     upp = solve_monotone_root(tail, 1.0 - alpha_ci / 2.0, tol=ROOT_TOL)
@@ -647,13 +668,21 @@ def _tail_window(row: list[float], lo: int, hi: int, half: float) -> range:
 def _midp_covered(row: list[float], design: TwoStageDesign, half: float) -> list[int]:
     """Totals whose mid-p interval contains p, for the terminal row at p.
     The tail that ci_midp solves falls as the observed UMVUE rank rises, so
-    the ranks with alpha/2 <= tail <= 1 - alpha/2 form a window."""
+    the ranks with alpha/2 <= tail <= 1 - alpha/2 form a window.
+
+    The row's terms are grouped by rank once. The tail at rank r is the
+    fsum of half the terms of rank r and all the terms above it, the
+    nonzero products of ci_midp's weights: a suffix of the groups."""
     ranks = _umvue_ranks(design.a1, design.n1, design.n)
+    groups: list[list[float]] = [[] for _ in range(max(ranks) + 1)]
+    for r, term in zip(ranks, row):
+        groups[r].append(term)
 
     def tail(r: int) -> float:
-        return math.fsum(map(mul, _midp_weights(ranks, r), row))
+        halves = [0.5 * term for term in groups[r]]
+        return math.fsum(chain(halves, chain.from_iterable(groups[r + 1 :])))
 
-    window = _window(0, max(ranks) + 1, lambda r: tail(r) <= 1.0 - half, lambda r: tail(r) < half)
+    window = _window(0, len(groups), lambda r: tail(r) <= 1.0 - half, lambda r: tail(r) < half)
     return [s for s, r in enumerate(ranks) if r in window]
 
 

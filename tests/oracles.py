@@ -519,3 +519,56 @@ def reject_prob_ek_scan_oracle(p, design, n_an):
         c = next((s2 for s2 in range(n2 + 1) if stage2_pvalue(s2, n2, p0) <= err), n2 + 1)
         terms.append(binom_pmf(s1, design.n1, p) * binom_upper_tail(c, n2, p))
     return min(1.0, math.fsum(terms))
+
+
+def q_value_full_row(s, p, design):
+    """q_value as the suffix from s of the whole terminal_pmf row."""
+    from twostage.design import terminal_pmf
+
+    return min(1.0, math.fsum(terminal_pmf(design, p)[s:]))
+
+
+def q_lower_value_full_row(s, p, design):
+    """q_lower_value as the prefix up to s of the whole terminal_pmf row."""
+    from twostage.design import terminal_pmf
+
+    return min(1.0, math.fsum(terminal_pmf(design, p)[: s + 1]))
+
+
+def reject_prob_retained_full_row(p, design, n_an):
+    """reject_prob_retained (and, at n_an = n, reject_prob) as the suffix
+    from a + 1 of the whole terminal_pmf row at the realised size."""
+    return q_value_full_row(design.a + 1, p, design.with_final_n(n_an))
+
+
+def midp_tail_full_row(s, p, design):
+    """The tail ci_midp solves, as every weight times the whole terminal
+    row, zero weights included, from the package's UMVUE ranks."""
+    from operator import mul
+
+    from twostage.design import terminal_pmf
+    from twostage.inference import _umvue_ranks
+
+    ranks = _umvue_ranks(design.a1, design.n1, design.n)
+    weights = [0.0 if r < ranks[s] else 0.5 if r == ranks[s] else 1.0 for r in ranks]
+    return math.fsum(map(mul, weights, terminal_pmf(design, p)))
+
+
+def midp_covered_full_row(row, design, half):
+    """inference._midp_covered with the weights rebuilt and the whole row
+    summed at every probe of the rank search."""
+    from bisect import bisect_left
+    from operator import mul
+
+    from twostage.inference import _umvue_ranks
+
+    ranks = _umvue_ranks(design.a1, design.n1, design.n)
+
+    def tail(r):
+        weights = [0.0 if k < r else 0.5 if k == r else 1.0 for k in ranks]
+        return math.fsum(map(mul, weights, row))
+
+    top = max(ranks) + 1
+    start = bisect_left(range(top), True, key=lambda r: tail(r) <= 1.0 - half)
+    stop = bisect_left(range(top), True, start, top, key=lambda r: tail(r) < half)
+    return [s for s, r in enumerate(ranks) if start <= r < stop]

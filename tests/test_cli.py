@@ -271,6 +271,7 @@ def test_sample_size_above_the_cap_is_invalid_input(capsys, monkeypatch, argv):
     # nor is any path-count row built, whichever module asks for it
     monkeypatch.setattr("twostage.design.path_counts", never)
     monkeypatch.setattr("twostage.design._log_counts", never)
+    monkeypatch.setattr("twostage.design._pascal_row", never)
     status, _, err = run(capsys, *argv)
     assert status == 2
     assert err.startswith("INVALID_INPUT:") and "cap" in err
@@ -546,8 +547,9 @@ def test_cli_import_builds_no_p_independent_table():
     code = (
         "import sys, twostage.cli\n"
         "from twostage import binomial as b, design as d, inference as i\n"
-        "caches = (b._log_factorials, d.path_counts, d._log_counts, i._mle_grid,\n"
-        "          i._log_continuation_row, i._umvue_ranks)\n"
-        "print([c.cache_info().currsize for c in caches], 'array' in sys.modules)"
+        "caches = (b._log_factorials, i._mle_grid, i._log_continuation_row, i._umvue_ranks)\n"
+        "rows = d._COUNT_ROWS\n"
+        "print([c.cache_info().currsize for c in caches], len(rows.rows), rows.entries,\n"
+        "      'array' in sys.modules)"
     )
-    assert _fresh_interpreter(code) == "[0, 0, 0, 0, 0, 0] False"
+    assert _fresh_interpreter(code) == "[0, 0, 0, 0] 0 0 False"

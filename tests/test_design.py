@@ -6,6 +6,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from itertools import accumulate
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _paths,
     binding_constraint_oracle,
     brute_force_both,
     brute_force_frontier,
@@ -21,16 +23,23 @@ from oracles import (
     en_oracle,
     exact_terminal_row,
     first_feasible_n,
+    q_lower_value_full_row,
+    q_value_full_row,
     reject_matrix_oracle,
     reject_prob_oracle,
+    reject_prob_retained_full_row,
     terminal_probs,
     ump_first_n,
 )
+import twostage.design as design_module
 from twostage.binomial import MAX_SAMPLE_SIZE, binom_pmf, binom_pmf_row
 from twostage.design import (
+    COUNT_ROW_BUDGET,
     DesignTargets,
     InfeasibleDesignError,
     TwoStageDesign,
+    _COUNT_ROWS,
+    _CountRows,
     _frontier,
     _head,
     _log_counts,
@@ -38,7 +47,6 @@ from twostage.design import (
     _tables,
     _tail,
     admissible_set,
-    continuation_tail,
     expected_sample_size,
     operating_characteristics,
     path_counts,
@@ -47,7 +55,10 @@ from twostage.design import (
     search_designs,
     terminal_distribution,
     terminal_pmf,
+    terminal_tail,
 )
+from twostage.deviation import reject_prob_retained
+from twostage.inference import q_lower_value, q_value
 
 TARGETS = DesignTargets(p0=0.1, p1=0.3, alpha=0.05, beta=0.2)
 DESIGN = TwoStageDesign(a1=1, a=5, n1=10, n=29, targets=TARGETS)
@@ -137,8 +148,8 @@ def test_terminal_pmf_rows_match_path_enumeration():
         assert len(row) == 30
         assert row[:2] == pytest.approx([oracle[(s, 10)] for s in range(2)], abs=1e-12)
         assert row[2:] == pytest.approx([oracle[(s, 29)] for s in range(2, 30)], abs=1e-12)
-        assert continuation_tail(row, DESIGN.a + 1) == reject_prob(p, DESIGN)
-        assert continuation_tail(row, 30) == 0.0
+        assert q_value_full_row(DESIGN.a + 1, p, DESIGN) == reject_prob(p, DESIGN)
+        assert terminal_tail(DESIGN, p, 30) == 0.0
 
 
 ORACLE_DESIGNS = [(1, 5, 10, 29), (13, 40, 40, 110), (5, 13, 105, 169), (30, 80, 150, 400)]
@@ -174,12 +185,18 @@ def test_terminal_pmf_counts_beyond_the_float_range():
 
 
 def test_terminal_pmf_builds_one_count_row_per_design():
+    # the counts and their logs are one row of one store: the first
+    # evaluation builds both, every later one and path_counts read them
     design = TwoStageDesign(a1=4, a=15, n1=19, n=54)
-    _log_counts.cache_clear()
+    _COUNT_ROWS.clear()
     for k in range(1, 201):
         terminal_pmf(design, k / 201)
-    info = _log_counts.cache_info()
-    assert (info.misses, info.hits) == (1, 199)
+    assert (_COUNT_ROWS.misses, _COUNT_ROWS.hits) == (1, 199)
+    counts, logs = _COUNT_ROWS.rows[(4, 19, 54)]
+    assert path_counts(4, 19, 54) is counts
+    assert _log_counts(4, 19, 54) is logs
+    assert (_COUNT_ROWS.misses, _COUNT_ROWS.hits) == (1, 201)
+    assert _COUNT_ROWS.entries == len(counts) == 54 - 4
 
 
 def row_bytes(row):
@@ -188,23 +205,162 @@ def row_bytes(row):
 
 def test_count_rows_at_the_cap_keep_their_stated_byte_bounds():
     # each c_s is at most C(n, s), so no row at the cap outgrows the
-    # binomial coefficients of MAX_SAMPLE_SIZE: 2.6 MB, and under 42 MB for
-    # the 16 integer rows kept; the 256 log rows take 41 MB
+    # binomial coefficients of MAX_SAMPLE_SIZE: 2.6 MB. Each count is an int
+    # no larger than C(n, n / 2), so with its tuple slot and its log it
+    # takes at most 708 bytes, and the store's budget of counts at most
+    # 46.4 MB, under the 42 + 41 MB of the two row caches it replaced
     n = MAX_SAMPLE_SIZE
     # C(n, s + 1) = C(n, s) (n - s) / (s + 1)
     binomial = accumulate(range(n), lambda c, s: c * (n - s) // (s + 1), initial=1)
     binomial_bytes = row_bytes(tuple(binomial))
     assert binomial_bytes <= 2.6e6
+    per_count = sys.getsizeof(math.comb(n, n // 2)) + 8 + 8
+    assert per_count <= 708
+    assert COUNT_ROW_BUDGET * per_count <= 46.4e6 < 42e6 + 41e6
     try:
         counts = path_counts(10, 50, n)
         assert row_bytes(counts) <= binomial_bytes
-        assert path_counts.cache_info().maxsize * binomial_bytes < 42e6
+        assert max(map(sys.getsizeof, counts)) <= per_count - 16
         logs = _log_counts(10, 50, n)
-        assert logs == tuple(map(math.log, counts))
-        assert _log_counts.cache_info().maxsize * row_bytes(logs) <= 41e6
+        assert list(logs) == list(map(math.log, counts))
+        # 8 bytes a log, not over-allocated
+        assert sys.getsizeof(logs) <= 8 * len(counts) + 100
+        assert row_bytes(counts) + sys.getsizeof(logs) <= per_count * len(counts)
     finally:
-        path_counts.cache_clear()
-        _log_counts.cache_clear()
+        _COUNT_ROWS.clear()
+
+
+def test_short_count_rows_keep_their_stated_overhead():
+    # a row has at least 2 counts and adds under 400 bytes of containers
+    # and key, so rows of 2 counts at the cap, the most rows the budget
+    # holds, keep the store under 60 MB. These counts are 1, an int that
+    # Python shares, so each takes its 8-byte tuple slot and its log 8 more
+    keys = [(n - 2, n - 1, n) for n in range(MAX_SAMPLE_SIZE - 199, MAX_SAMPLE_SIZE + 1)]
+    _COUNT_ROWS.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for key in keys:
+            path_counts(*key)
+        per_row = (tracemalloc.get_traced_memory()[0] - before) / len(keys)
+    finally:
+        tracemalloc.stop()
+        _COUNT_ROWS.clear()
+    assert per_row - 2 * (8 + 8) < 400
+    assert COUNT_ROW_BUDGET * 708 + COUNT_ROW_BUDGET // 2 * 400 < 60e6
+
+
+def test_count_rows_past_the_budget_evict_the_least_recently_used(monkeypatch):
+    store = _CountRows(budget=28)
+    monkeypatch.setattr("twostage.design._COUNT_ROWS", store)
+    cap = (MAX_SAMPLE_SIZE - 4, MAX_SAMPLE_SIZE - 2, MAX_SAMPLE_SIZE)  # 4 counts
+    first, second, third = (2, 10, 14), (3, 11, 15), (1, 8, 12)  # 12 counts each
+    history = []
+    for key in (first, second, cap, first, third, cap, second):
+        assert list(path_counts(*key)) == _paths(*key)[key[0] + 1 :]
+        history.append(list(store.rows))
+        assert store.entries == sum(len(row[0]) for row in store.rows.values()) <= 28
+    assert history == [
+        [first],
+        [first, second],
+        [first, second, cap],
+        # a hit moves the row to the most recently used end
+        [second, cap, first],
+        # 12 + 4 + 12 + 12 > 28: the least recently used row goes
+        [cap, first, third],
+        [first, third, cap],
+        [third, cap, second],
+    ]
+    assert (store.misses, store.hits) == (5, 2)
+
+
+def slice_designs():
+    """Random designs, with realised final sizes below and above n."""
+    rng = random.Random(22)
+    designs = []
+    for _ in range(8):
+        n1 = rng.randint(1, 12)
+        n = n1 + rng.randint(1, 10)
+        a1 = rng.randint(0, n1 - 1)
+        designs.append(TwoStageDesign(a1=a1, a=rng.randint(a1, n - 1), n1=n1, n=n))
+    realised = ((DESIGN, 26), (DESIGN, 33), (designs[0], designs[0].n1 + 1))
+    return designs + [d.with_final_n(m) for d, m in realised]
+
+
+SLICE_PS = [0.0, 1.0, 5e-324, 1e-4, 0.3, 0.77]
+
+
+@pytest.mark.parametrize("design", slice_designs(), ids=lambda d: d.compact())
+def test_terminal_pmf_slice_is_the_row_sliced(design):
+    n = design.n
+    for p in SLICE_PS:
+        row = terminal_pmf(design, p)
+        # every slice: empty ones, ones that cross a1 and ones past each end
+        for start in range(n + 3):
+            assert terminal_pmf(design, p, start) == row[start:]
+            for stop in range(n + 2):
+                assert terminal_pmf(design, p, start, stop) == row[start:stop], (p, start, stop)
+        for start, stop in ((-1, n + 1), (0, n + 2)):
+            with pytest.raises(ValueError, match="outside"):
+                terminal_pmf(design, p, start, stop)
+    with pytest.raises(ValueError, match="success probability"):
+        terminal_pmf(design, 1.5, n)
+
+
+@pytest.mark.parametrize("design", slice_designs(), ids=lambda d: d.compact())
+def test_tails_from_a_slice_equal_the_full_row_sums(design):
+    for p in SLICE_PS:
+        for s in range(design.n + 1):
+            m = design.size_at(s)
+            assert q_value(s, m, p, design) == q_value_full_row(s, p, design)
+            assert q_lower_value(s, m, p, design) == q_lower_value_full_row(s, p, design)
+        assert reject_prob(p, design) == reject_prob_retained_full_row(p, design, design.n)
+        for n_an in range(design.n1 + 1, design.n + 6):
+            assert reject_prob_retained(p, design, n_an) == reject_prob_retained_full_row(
+                p, design, n_an
+            )
+
+
+def test_a_stage2_q_value_builds_only_its_suffix(monkeypatch):
+    # stage-1 terms come from binom_pmf_row, stage-2 terms each take one exp
+    design = TwoStageDesign(a1=4, a=15, n1=19, n=54)
+    stage1, stage2 = [], []
+    pmf_row = design_module.binom_pmf_row
+
+    def counted_row(*args):
+        row = pmf_row(*args)
+        stage1.append(len(row))
+        return row
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def exp(self, x):
+            stage2.append(x)
+            return math.exp(x)
+
+    monkeypatch.setattr(design_module, "binom_pmf_row", counted_row)
+    monkeypatch.setattr(design_module, "math", CountingMath())
+    # (function, s, m, stage-1 terms, stage-2 terms): a stage-2 q_value at s
+    # builds n - s + 1 terms, all at stage 2
+    cases = [
+        (q_value, 5, 54, 0, 50),
+        (q_value, 30, 54, 0, 25),
+        (q_value, 54, 54, 0, 1),
+        (q_value, 3, 19, 2, 50),
+        (q_lower_value, 3, 19, 4, 0),
+        (q_lower_value, 30, 54, 5, 26),
+    ]
+    for function, s, m, *want in cases:
+        stage1.clear()
+        stage2.clear()
+        function(s, m, 0.3, design)
+        assert [sum(stage1), len(stage2)] == want, (function.__name__, s)
+    stage1.clear()
+    stage2.clear()
+    reject_prob(0.3, design)
+    assert [sum(stage1), len(stage2)] == [0, 54 - 15]
 
 
 def test_terminal_pmf_rejects_a_final_size_above_the_cap():
@@ -419,9 +575,10 @@ def test_tie_breaks_when_en_equals_n1():
     # with p0 = 0 the trial never continues under the null, so EN(p0) = n1
     # for every a1 and n, and the smallest n1 with power (8) ties across n
     targets = DesignTargets(p0=0.0, p1=0.2, alpha=0.05, beta=0.2)
-    # an n whose EN ties the best EN at a smaller n stays on the frontier
+    # an n whose EN only ties the best EN at a smaller n is left out: no
+    # consumer selects it, as ties go to the smaller n
     assert [(en, n, d.compact()) for en, n, d in _frontier(targets, 12)] == [
-        (8.0, n, f"0/8, 0/{n}") for n in range(9, 13)
+        (8.0, 9, "0/8, 0/9")
     ]
     for criterion in ("null-optimal", "minimax"):
         assert search_designs(targets, criterion, n_max=12).compact() == "0/8, 0/9"
@@ -433,6 +590,29 @@ def test_tie_breaks_when_en_equals_n1():
     assert [(e.w_low, e.w_high, e.design.compact()) for e in entries] == [
         (0.0, 1.0, "0/8, 0/9")
     ]
+
+
+def test_search_where_en_ties_across_n_stops_at_the_tie(monkeypatch):
+    # the walk ends at the first n whose candidates can only tie the best
+    # EN, so at the cap it builds the rows of m <= 9 alone, one per p; the
+    # minimax search stops at the first design, before it reads m = 9
+    targets = DesignTargets(p0=0.0, p1=0.2, alpha=0.05, beta=0.2)
+    built = []
+    tables = design_module._tables
+
+    def counted(m, p, cdf):
+        built.append(m)
+        return tables(m, p, cdf)
+
+    monkeypatch.setattr(design_module, "_tables", counted)
+    for criterion, top in (("null-optimal", 9), ("minimax", 8)):
+        built.clear()
+        assert search_designs(targets, criterion, n_max=MAX_SAMPLE_SIZE).compact() == "0/8, 0/9"
+        assert sorted(built) == sorted(list(range(1, top + 1)) * 2)
+    built.clear()
+    entries = admissible_set(targets, n_max=MAX_SAMPLE_SIZE)
+    assert [(e.w_low, e.w_high, e.design.compact()) for e in entries] == [(0.0, 1.0, "0/8, 0/9")]
+    assert sorted(built) == sorted(list(range(1, 10)) * 2)
 
 
 def test_minimax_search_builds_only_the_rows_it_reads():

@@ -7,9 +7,9 @@ import random
 import pytest
 from scipy.stats import binom as scipy_binom
 
-from oracles import reject_prob_ek_scan_oracle, stage_paths
+from oracles import q_value_full_row, reject_prob_ek_scan_oracle, stage_paths
 from twostage import deviation
-from twostage.design import DesignTargets, TwoStageDesign, continuation_tail, terminal_pmf
+from twostage.design import DesignTargets, TwoStageDesign, terminal_pmf
 from twostage.deviation import (
     DeviatedAnalysis,
     InterpretationProbabilities,
@@ -246,7 +246,7 @@ def test_realised_size_analyses_equal_an_explicitly_replaced_design(design, n_an
     # replaced by n_an and a by a1 gives the same floats, bit for bit
     replaced = dataclasses.replace(design, a=design.a1, n=n_an)
     for p in (0.0, 0.1, 0.3, 0.77, 1.0):
-        old = continuation_tail(terminal_pmf(replaced, p), design.a + 1)
+        old = q_value_full_row(design.a + 1, p, replaced)
         assert reject_prob_retained(p, design, n_an) == old
     naive = [s / replaced.size_at(s) for s in range(n_an + 1)]
     at_p0, at_p1 = terminal_pmf(replaced, 0.1), terminal_pmf(replaced, 0.3)

@@ -17,7 +17,9 @@ from oracles import (
     conditional_mle_mp,
     conditional_mle_scan_oracle,
     coverage_by_intervals_oracle,
+    midp_covered_full_row,
     midp_limits_oracle,
+    midp_tail_full_row,
     stage_paths,
     stagewise_tails_mp,
     terminal_probs,
@@ -26,7 +28,7 @@ from oracles import (
 )
 from twostage import inference
 from twostage.binomial import binom_cdf, binom_upper_tail, solve_monotone_root
-from twostage.design import DesignTargets, TwoStageDesign, terminal_pmf
+from twostage.design import DesignTargets, TwoStageDesign, _COUNT_ROWS, terminal_pmf
 from twostage.inference import (
     AnalysisState,
     ci_clopper_pearson,
@@ -695,6 +697,41 @@ def test_midp_is_bit_identical_to_fractions_compared_per_call(design, m):
         assert (ci.low, ci.upp) == midp_limits_oracle(s, st_o.analysis_design, 0.9), s
 
 
+@pytest.mark.parametrize(
+    "design",
+    [DESIGN, DESIGN.with_final_n(26), DESIGNS[2], TIED, TwoStageDesign.from_compact("8/9,10/14")],
+    ids=lambda d: d.compact(),
+)
+def test_midp_tail_of_the_nonzero_runs_is_the_full_weighted_row(design):
+    # the limits solved from the full weighted row, zero weights included,
+    # are the limits ci_midp solves from the terms of nonzero weight alone
+    for s in range(design.n + 1):
+        for level in (0.9, 0.95):
+            half = (1.0 - level) / 2.0
+            roots = [
+                solve_monotone_root(lambda p: midp_tail_full_row(s, p, design), target, tol=1e-10)
+                for target in (half, 1.0 - half)
+            ]
+            ci = ci_midp(state(s, design.size_at(s), design), level)
+            assert (ci.low, ci.upp) == (
+                0.0 if roots[0].out_of_bracket else roots[0].value,
+                1.0 if roots[1].out_of_bracket else roots[1].value,
+            ), (s, level)
+
+
+def test_exact_estimates_after_terminal_pmf_build_no_second_row():
+    # the UMVUE and UMVCUE read the counts that terminal_pmf's logs came with
+    design = TwoStageDesign.from_compact("4/19,15/54")
+    _COUNT_ROWS.clear()
+    terminal_pmf(design, 0.3)
+    for s in (5, 20, 54):
+        estimate_umvue(state(s, 54, design))
+        estimate_umvcue(state(s, 54, design))
+    # the exact row and the terminal row of the bias read it once each
+    estimator_bias("umvue", 0.3, design)
+    assert (_COUNT_ROWS.misses, _COUNT_ROWS.hits) == (1, 8)
+
+
 def test_interval_properties_all_methods():
     for method in ("JT", "midp", "CP", "Wald", "Wilson"):
         for s, m in [(0, 10), (1, 10), (2, 29), (6, 29), (29, 29)]:
@@ -773,6 +810,18 @@ def test_coverage_by_inversion_is_the_interval_path(design, method):
             != coverage_by_intervals_oracle(method, p, design, level)
         ]
         assert differ == [], f"level {level}"
+
+
+@pytest.mark.parametrize("design", COVERAGE_DESIGNS + [TIED], ids=lambda d: d.compact())
+def test_midp_coverage_by_rank_groups_is_the_full_row_search(design):
+    grid = [0.0, 5e-324, 1.0] + [k / 200 for k in range(1, 200)]
+    for level in (0.9, 0.95):
+        half = (1.0 - level) / 2.0
+        for p in grid:
+            row = terminal_pmf(design, p)
+            assert inference._midp_covered(row, design, half) == midp_covered_full_row(
+                row, design, half
+            ), (level, p)
 
 
 def test_coverage_solves_no_root_and_reads_no_interval(monkeypatch):
