@@ -17,20 +17,23 @@ from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, TextIO, Union
 
-from .binomial import MAX_SAMPLE_SIZE
+from .binomial import MAX_SAMPLE_SIZE, root_outside
 from .design import DesignTargets, TwoStageDesign
 from .deviation import reject_prob_ek, reject_prob_retained
 from .inference import (
     AnalysisState,
     ConfidenceInterval,
+    Equation,
     ci_clopper_pearson,
     ci_wald,
     ci_wilson,
     coverage,
-    estimate_all,
+    estimate_equation,
     estimate_naive,
     estimate_umvue,
+    interval_equations,
     interval_for_outcome,
+    point_estimates,
 )
 
 UNADJUSTED_ESTIMATORS = ("naive",)
@@ -265,14 +268,20 @@ def infer_termination_stage(record: TrialRecord) -> Union[int, str]:
 
 @dataclass
 class ConsistencyResult:
+    """Which procedures reproduce a record's reported estimate or interval.
+
+    ``candidates`` maps each procedure that was computed to its value (an
+    estimate, or a ConfidenceInterval). A root-defined candidate whose root
+    cannot round to the reported value (see _rounding_window) is not solved
+    and is absent; it is not matched.
+    """
+
     evaluable: bool
     reason: Optional[str] = None
     matched_estimators: set[str] = field(default_factory=set)
     matched_intervals: set[str] = field(default_factory=set)
     adjusted_evaluable: bool = False
     candidates: dict = field(default_factory=dict)
-    # the adjusted candidates' analysis state, for the figure data
-    _state: Optional[AnalysisState] = field(default=None, repr=False, compare=False)
 
 
 def _rounds_to(candidate: float, reported: float, decimals: int) -> bool:
@@ -299,6 +308,47 @@ def _rounds_to(candidate: float, reported: float, decimals: int) -> bool:
         if cand.quantize(quantum, rounding=rounding) == rep:
             return True
     return False
+
+
+# Most decimals at which _rounding_window rules out a candidate: its
+# quantum, 1e-6, leaves a margin of 5e-7 over the candidates' error
+_WINDOW_DECIMALS = 6
+
+
+def _rounding_window(reported: float, decimals: int) -> Optional[tuple[float, float]]:
+    """The window [r - q, r + q] outside which no root-defined candidate
+    can round to the reported value, or None where the test is not made.
+
+    Here q = 10**-decimals and r is the reported value rounded half-even to
+    q, the value _rounds_to compares with: a candidate x matches only if its
+    repr rounds to r, so |x - r| <= q/2. The candidates are roots of a
+    monotone sum f at a target (inference.estimate_equation and
+    interval_equations). When f - target has the same strict sign at
+    r - q and r + q (binomial.root_outside), the solved candidate is a
+    boundary outside the window or a point within 1e-10 of a bracket end
+    outside it. The conditional MLE is not solved from its score equation,
+    but is within 2e-8 of that equation's root (measured against mpmath;
+    pinned by a test). Either way |x - r| > q - 2e-8 - 1e-15, the last
+    term for the float rounding of r - q, r + q and repr(x); this exceeds
+    q/2 whenever q >= 1e-6. So such a candidate cannot match, and it is
+    not solved: the matches are those of solving every candidate.
+
+    The window is used only for q >= 1e-6 and for 0 < r - q < r + q < 1.
+    Where it touches 0 or 1, a root clamped to that boundary could still
+    round to r; there, and for finer precisions, every candidate is solved.
+    """
+    if decimals > _WINDOW_DECIMALS:
+        return None
+    quantum = Decimal(1).scaleb(-decimals)
+    rounded = float(Decimal(repr(reported)).quantize(quantum, rounding=ROUND_HALF_EVEN))
+    q = 10.0**-decimals
+    lo, hi = rounded - q, rounded + q
+    return (lo, hi) if 0.0 < lo and hi < 1.0 else None
+
+
+def _ruled_out(equation: Optional[Equation], window: Optional[tuple[float, float]]) -> bool:
+    """True when the equation's root lies outside the rounding window."""
+    return equation is not None and window is not None and root_outside(*equation, *window)
 
 
 def _analysis_state(record: TrialRecord) -> Optional[AnalysisState]:
@@ -340,9 +390,13 @@ def check_estimate_consistency(record: TrialRecord) -> ConsistencyResult:
     candidates = {"naive": estimate_naive(record.s_analysis, record.n_analysis)}
     state = _analysis_state(record)
     if state is not None:
-        estimates = estimate_all(state)
-        for name in ADJUSTED_ESTIMATORS:
-            candidates[name] = getattr(estimates, name)
+        window = _rounding_window(record.est_reported, decimals)
+        solved = [
+            name
+            for name in ADJUSTED_ESTIMATORS
+            if not _ruled_out(estimate_equation(name, state), window)
+        ]
+        candidates.update(point_estimates(state, solved))
     matched = {
         name
         for name, value in candidates.items()
@@ -356,45 +410,79 @@ def check_estimate_consistency(record: TrialRecord) -> ConsistencyResult:
     )
 
 
-def check_ci_consistency(record: TrialRecord) -> ConsistencyResult:
-    """Which interval procedures reproduce both reported CI endpoints."""
+def _ci_gap(record: TrialRecord) -> Optional[str]:
+    """Why the record's interval cannot be checked, or None."""
     reason = _stage2_gap(record)
     if reason is not None:
-        return ConsistencyResult(False, reason=reason)
+        return reason
     if record.ci_low is None or record.ci_upp is None:
-        return ConsistencyResult(False, reason="interval absent")
+        return "interval absent"
     if record.ci_level is None:
-        return ConsistencyResult(False, reason="level absent")
+        return "level absent"
     if record.ci_low > record.ci_upp:
-        return ConsistencyResult(False, reason="interval endpoints reversed")
+        return "interval endpoints reversed"
     if (
         record.ci_method_stated is not None
         and record.ci_method_stated.strip().lower() in OUT_OF_SCOPE_CI_METHODS
     ):
-        return ConsistencyResult(False, reason="not evaluable (method out of scope)")
+        return "not evaluable (method out of scope)"
+    return None
+
+
+# each method's interval for (s, m, level, analysis design); the functions
+# are looked up when called, so one replaced on the module is the one called
+_INTERVALS = {
+    "CP": lambda s, m, level, design: ci_clopper_pearson(s, m, level),
+    "Wald": lambda s, m, level, design: ci_wald(s, m, level),
+    "Wilson": lambda s, m, level, design: ci_wilson(s, m, level),
+    "JT": lambda s, m, level, design: interval_for_outcome("JT", s, design, level),
+    "midp": lambda s, m, level, design: interval_for_outcome("midp", s, design, level),
+}
+
+
+def _check_intervals(
+    record: TrialRecord, methods: tuple[str, ...], state: Optional[AnalysisState]
+) -> tuple[dict[str, ConfidenceInterval], set[str]]:
+    """The intervals of the named methods that were computed, and the names
+    of those that reproduce both reported endpoints.
+
+    An interval is not solved when its lower limit, or else its upper
+    limit, lies outside its rounding window (_rounding_window). JT is
+    always solved: the figure data prints its length."""
     decimals = record.ci_decimals if record.ci_decimals is not None else 2
     s, m, level = record.s_analysis, record.n_analysis, record.ci_level
-    candidates: dict[str, ConfidenceInterval] = {
-        "CP": ci_clopper_pearson(s, m, level),
-        "Wald": ci_wald(s, m, level),
-        "Wilson": ci_wilson(s, m, level),
-    }
-    state = _analysis_state(record)
-    if state is not None:
-        for method in ADJUSTED_CIS:
-            candidates[method] = interval_for_outcome(method, s, state.analysis_design, level)
+    design = None if state is None else state.analysis_design
+    windows = (
+        _rounding_window(record.ci_low, decimals),
+        _rounding_window(record.ci_upp, decimals),
+    )
+    candidates = {}
+    for method in methods:
+        equations = None if method == "JT" else interval_equations(method, s, m, level, design)
+        if equations is None or not any(map(_ruled_out, equations, windows)):
+            candidates[method] = _INTERVALS[method](s, m, level, design)
     matched = {
         name
         for name, ci in candidates.items()
         if _rounds_to(ci.low, record.ci_low, decimals)
         and _rounds_to(ci.upp, record.ci_upp, decimals)
     }
+    return candidates, matched
+
+
+def check_ci_consistency(record: TrialRecord) -> ConsistencyResult:
+    """Which interval procedures reproduce both reported CI endpoints."""
+    reason = _ci_gap(record)
+    if reason is not None:
+        return ConsistencyResult(False, reason=reason)
+    state = _analysis_state(record)
+    methods = UNADJUSTED_CIS if state is None else UNADJUSTED_CIS + ADJUSTED_CIS
+    candidates, matched = _check_intervals(record, methods, state)
     return ConsistencyResult(
         True,
         matched_intervals=matched,
         adjusted_evaluable=state is not None,
         candidates=candidates,
-        _state=state,
     )
 
 
@@ -652,21 +740,21 @@ def _estimates_row(r: TrialRecord) -> Union[list, str]:
 
 
 def _ci_row(r: TrialRecord) -> Union[list, str]:
-    check = check_ci_consistency(r)
-    if not check.evaluable:
-        return check.reason or "not evaluable"
-    if not check.adjusted_evaluable:
+    reason = _ci_gap(r)
+    if reason is not None:
+        return reason
+    state = _analysis_state(r)
+    if state is None:
         return "adjusted interval not computable"
-    jt = check.candidates["JT"]
-    matched_unadjusted = sorted(check.matched_intervals & set(UNADJUSTED_CIS))
-    method = matched_unadjusted[0] if matched_unadjusted else "CP"
+    _, matched = _check_intervals(r, UNADJUSTED_CIS, state)
+    method = min(matched, default="CP")
+    jt = interval_for_outcome("JT", r.s_analysis, state.analysis_design, r.ci_level)
     cov_rep = cov_jt = None
     if r.ci_level == 0.95:
-        design = check._state.design
-        p_eval = estimate_umvue(check._state)
+        p_eval = estimate_umvue(state)
         if 0.0 < p_eval < 1.0:
-            cov_rep = round(coverage(method, p_eval, design, level=r.ci_level), 6)
-            cov_jt = round(coverage("JT", p_eval, design, level=r.ci_level), 6)
+            cov_rep = round(coverage(method, p_eval, state.design, level=r.ci_level), 6)
+            cov_jt = round(coverage("JT", p_eval, state.design, level=r.ci_level), 6)
     return [
         r.id,
         round(r.ci_upp - r.ci_low, 6),

@@ -187,6 +187,25 @@ def solve_monotone_root(
     return RootResult(0.5 * (lo + hi))
 
 
+def root_outside(f: Callable[[float], float], target: float, lo: float, hi: float) -> bool:
+    """True when f - target has the same strict sign at lo and at hi, with
+    0 < lo < hi < 1; hi is evaluated only when lo's sign is strict.
+
+    For a monotone f, f - target then keeps that sign on all of [lo, hi],
+    so every bracket across which solve_monotone_root(f, target) sees a
+    sign change has an end outside [lo, hi], and the boundary it returns
+    when no such bracket exists is outside too. Its result therefore lies
+    outside [lo, hi] or within tol / 2 of an end. A zero or NaN at either
+    end gives False.
+    """
+    side = f(lo) - target
+    if side > 0.0:
+        return f(hi) - target > 0.0
+    if side < 0.0:
+        return f(hi) - target < 0.0
+    return False
+
+
 def normal_quantile(q: float) -> float:
     """Inverse standard-normal CDF."""
     if not 0.0 < q < 1.0:

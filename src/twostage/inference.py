@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,7 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .binomial import (
+    RootResult,
     _log_factorials,
     binom_cdf,
     binom_pmf_row,
@@ -31,6 +33,10 @@ from .binomial import (
 from .design import TwoStageDesign, path_counts, terminal_pmf, terminal_tail
 
 ROOT_TOL = 1e-10
+
+# f(p) = target for a sum f monotone in p: the equation whose root is an
+# estimate or an interval limit
+Equation = tuple[Callable[[float], float], float]
 
 
 @dataclass(frozen=True)
@@ -177,12 +183,17 @@ def estimate_bias_subtracted(state: AnalysisState) -> Estimate:
     return Estimate(value=min(1.0, max(0.0, value)), clamped=clamped)
 
 
-def estimate_bias_adjusted(state: AnalysisState) -> Estimate:
-    """The p solving p = naive - Bias(naive | p), i.e. E(naive | p) = naive."""
+def _bias_adjusted_equation(state: AnalysisState) -> Equation:
+    """E_p[naive] = naive: the expected naive estimate rises with p."""
     d = state.analysis_design
     naive = estimate_naive(state.s, state.m)
     values = _naive_row(d)
-    root = solve_monotone_root(lambda p: _expectation(values, d, p), naive, tol=ROOT_TOL)
+    return (lambda p: _expectation(values, d, p)), naive
+
+
+def estimate_bias_adjusted(state: AnalysisState) -> Estimate:
+    """The p solving p = naive - Bias(naive | p), i.e. E(naive | p) = naive."""
+    root = solve_monotone_root(*_bias_adjusted_equation(state), tol=ROOT_TOL)
     note = "no root in [0, 1]; clamped to boundary" if root.out_of_bracket else None
     return Estimate(value=root.value, clamped=root.out_of_bracket, note=note)
 
@@ -280,8 +291,40 @@ def _log_continuation_row(a1: int, n1: int) -> Sequence[float]:
     return array("d", [_log_continuation_prob(x, a1, n1) for x in _mle_grid()[0]])
 
 
+def _conditional_score_equation(state: AnalysisState) -> Optional[Equation]:
+    """E_p[S | continue] = s, the score equation of the conditional MLE, at
+    a stage-2 outcome a1 + 1 < s < n; None at the outcomes where
+    estimate_conditional is a closed form.
+
+    Given continuation, P(S = k) is proportional to c_k p^k (1 - p)^(n - k)
+    for k > a1: an exponential family in logit p, so the conditional
+    likelihood of s is largest where the conditional mean of S is s, and
+    that mean rises strictly with p. It is the ratio of two sums over the
+    stage-2 suffix of terminal_pmf's row. Where the suffix sums below the
+    smallest normal float, its terms have lost their relative precision, and
+    the mean is NaN, which compares as neither side of s.
+    """
+    d = state.analysis_design
+    if state.stage == 1 or state.s in (d.a1 + 1, d.n):
+        return None
+    totals = range(d.a1 + 1, d.n + 1)
+
+    def mean(p: float) -> float:
+        terms = terminal_pmf(d, p, d.a1 + 1)
+        total = math.fsum(terms)
+        if not total >= sys.float_info.min:
+            return math.nan
+        return math.fsum(map(mul, totals, terms)) / total
+
+    return mean, state.s
+
+
 def estimate_conditional(state: AnalysisState) -> float:
     """Maximiser of the log-likelihood conditional on continuation.
+
+    Its interior stage-2 values are within 2e-8 of the root of
+    _conditional_score_equation (measured against an mpmath root; see the
+    tests), although they come from a search, not from that root.
 
     The scan that brackets the mode reads the p-independent parts of the
     log-likelihood at its 401 fixed points from _mle_grid and
@@ -378,14 +421,20 @@ def q_lower_value(s: int, m: int, p: float, design: TwoStageDesign) -> float:
     return min(1.0, math.fsum(terminal_pmf(design, p, 0, s + 1)))
 
 
+def _median_unbiased_equation(state: AnalysisState) -> Optional[Equation]:
+    """q_value = 0.5; None at s = 0, where q is identically 1."""
+    if state.s == 0:
+        return None
+    d = state.analysis_design
+    return (lambda p: q_value(state.s, state.m, p, d)), 0.5
+
+
 def estimate_median_unbiased(state: AnalysisState) -> Estimate:
     """The p at which the observed outcome's tail probability equals 0.5."""
-    if state.s == 0:
+    equation = _median_unbiased_equation(state)
+    if equation is None:
         return Estimate(value=0.0, note="q is identically 1; no median root")
-    d = state.analysis_design
-    root = solve_monotone_root(
-        lambda p: q_value(state.s, state.m, p, d), 0.5, tol=ROOT_TOL
-    )
+    root = solve_monotone_root(*equation, tol=ROOT_TOL)
     note = "target not bracketed; clamped to boundary" if root.out_of_bracket else None
     return Estimate(value=root.value, clamped=root.out_of_bracket, note=note)
 
@@ -417,6 +466,23 @@ def estimate_all(state: AnalysisState) -> EstimateSet:
     return EstimateSet(**point_estimates(state, list(_ESTIMATES)))
 
 
+_ESTIMATE_EQUATIONS: dict[str, Callable[[AnalysisState], Optional[Equation]]] = {
+    "bias_adjusted": _bias_adjusted_equation,
+    "median_unbiased": _median_unbiased_equation,
+    "conditional": _conditional_score_equation,
+}
+
+
+def estimate_equation(name: str, state: AnalysisState) -> Optional[Equation]:
+    """The equation (f, target) whose root in p is the named field of
+    EstimateSet for the state, with f monotone; None for a closed-form or
+    exact estimate. The bias-adjusted and median-unbiased estimates are
+    solve_monotone_root(f, target, ROOT_TOL); the conditional MLE is its
+    search's value, within 2e-8 of the root."""
+    builder = _ESTIMATE_EQUATIONS.get(name)
+    return None if builder is None else builder(state)
+
+
 # ---------------------------------------------------------------------------
 # p-values
 
@@ -435,6 +501,22 @@ def p_value(state: AnalysisState, p0: Optional[float] = None) -> float:
 # confidence intervals
 
 
+def _jt_equations(
+    s: int, m: int, design: TwoStageDesign, half: float
+) -> tuple[Equation, Equation]:
+    """q_value = alpha/2 for the lower limit and q_lower_value = alpha/2 for
+    the upper; q_value falls and q_lower_value rises with p."""
+    return (
+        ((lambda p: q_value(s, m, p, design)), half),
+        ((lambda p: q_lower_value(s, m, p, design)), half),
+    )
+
+
+def _solve(equations: Iterable[Equation]) -> Iterator[RootResult]:
+    """solve_monotone_root at ROOT_TOL of each equation, in order."""
+    return (solve_monotone_root(*equation, tol=ROOT_TOL) for equation in equations)
+
+
 def ci_jennison_turnbull(state: AnalysisState, level: float = 0.95) -> ConfidenceInterval:
     """Stagewise-ordering (adjusted) exact interval.
 
@@ -445,15 +527,8 @@ def ci_jennison_turnbull(state: AnalysisState, level: float = 0.95) -> Confidenc
     is what keeps exact coverage at or above the nominal level; pairing both
     limits with roots of q alone does not.
     """
-    alpha_ci = _check_level(level)
-    d = state.analysis_design
-
-    low = solve_monotone_root(
-        lambda p: q_value(state.s, state.m, p, d), alpha_ci / 2.0, tol=ROOT_TOL
-    )
-    upp = solve_monotone_root(
-        lambda p: q_lower_value(state.s, state.m, p, d), alpha_ci / 2.0, tol=ROOT_TOL
-    )
+    half = _check_level(level) / 2.0
+    low, upp = _solve(_jt_equations(state.s, state.m, state.analysis_design, half))
     low_val = 0.0 if low.out_of_bracket else low.value
     upp_val = 1.0 if upp.out_of_bracket else upp.value
     return ConfidenceInterval(low=low_val, upp=upp_val, level=level, method="JT")
@@ -494,27 +569,32 @@ def _nonzero_runs(weights: Sequence[float]) -> list[tuple[int, int, Sequence[flo
     return runs
 
 
-def ci_midp(state: AnalysisState, level: float = 0.95) -> ConfidenceInterval:
-    """Mid-p interval under the UMVUE ordering of terminal outcomes.
+def _midp_equations(s: int, design: TwoStageDesign, half: float) -> tuple[Equation, Equation]:
+    """The mid-p tail of the outcome with total s = alpha/2 for the lower
+    limit and 1 - alpha/2 for the upper; the tail rises with p.
 
     The tail builds only the terms of the terminal row whose weight is not
     0: as the UMVUE rises with s within each stage, these are at most two
     runs of totals, one per stage. fsum does not depend on the order or on
     the zeros of its terms, so the tail is the full weighted sum."""
-    alpha_ci = _check_level(level)
-    d = state.analysis_design
-    ranks = _umvue_ranks(d.a1, d.n1, d.n)
-    runs = _nonzero_runs(_midp_weights(ranks, ranks[state.s]))
+    ranks = _umvue_ranks(design.a1, design.n1, design.n)
+    runs = _nonzero_runs(_midp_weights(ranks, ranks[s]))
 
     def tail(p: float) -> float:
         return math.fsum(
             chain.from_iterable(
-                map(mul, weights, terminal_pmf(d, p, start, stop)) for start, stop, weights in runs
+                map(mul, weights, terminal_pmf(design, p, start, stop))
+                for start, stop, weights in runs
             )
         )
 
-    low = solve_monotone_root(tail, alpha_ci / 2.0, tol=ROOT_TOL)
-    upp = solve_monotone_root(tail, 1.0 - alpha_ci / 2.0, tol=ROOT_TOL)
+    return (tail, half), (tail, 1.0 - half)
+
+
+def ci_midp(state: AnalysisState, level: float = 0.95) -> ConfidenceInterval:
+    """Mid-p interval under the UMVUE ordering of terminal outcomes."""
+    half = _check_level(level) / 2.0
+    low, upp = _solve(_midp_equations(state.s, state.analysis_design, half))
     low_val = 0.0 if low.out_of_bracket else low.value
     upp_val = 1.0 if upp.out_of_bracket else upp.value
     return ConfidenceInterval(low=low_val, upp=upp_val, level=level, method="midp")
@@ -534,9 +614,21 @@ def ci_clopper_pearson(s: int, m: int, level: float = 0.95) -> ConfidenceInterva
         return ConfidenceInterval(0.0, 1.0 - half ** (1.0 / m), level, "CP")
     if s == m:
         return ConfidenceInterval(half ** (1.0 / m), 1.0, level, "CP")
-    low = solve_monotone_root(lambda p: binom_upper_tail(s, m, p), half, tol=ROOT_TOL)
-    upp = solve_monotone_root(lambda p: binom_cdf(s, m, p), half, tol=ROOT_TOL)
+    low, upp = _solve(_cp_equations(s, m, half))
     return ConfidenceInterval(low.value, upp.value, level, "CP")
+
+
+def _cp_equations(s: int, m: int, half: float) -> Optional[tuple[Equation, Equation]]:
+    """P(X >= s) = alpha/2 for the lower limit and P(X <= s) = alpha/2 for
+    the upper, X ~ Bin(m, p), at 0 < s < m; the first tail rises with p and
+    the second falls. None at s = 0 and s = m, whose limits are closed
+    forms."""
+    if s in (0, m):
+        return None
+    return (
+        ((lambda p: binom_upper_tail(s, m, p)), half),
+        ((lambda p: binom_cdf(s, m, p)), half),
+    )
 
 
 def ci_wald(s: int, m: int, level: float = 0.95) -> ConfidenceInterval:
@@ -606,6 +698,27 @@ def interval_for_outcome(
     if name == "JT":
         return ci_jennison_turnbull(state, level)
     return ci_midp(state, level)
+
+
+def interval_equations(
+    method: str, s: int, m: int, level: float, design: Optional[TwoStageDesign] = None
+) -> Optional[tuple[Equation, Equation]]:
+    """The equations (f, target) whose roots in p are the lower and upper
+    limits of the named method's interval for s successes in m, with each
+    f monotone; None for a closed-form interval (Wald, Wilson, and CP at
+    s = 0 and s = m). JT and mid-p read the analysis design, which ends
+    the trial at m with total s; each limit is solve_monotone_root(f,
+    target, ROOT_TOL), and a target the sum never reaches puts the limit at
+    the boundary."""
+    half = _check_level(level) / 2.0
+    name = _ci_method(method)
+    if name == "CP":
+        return _cp_equations(s, m, half)
+    if name == "JT":
+        return _jt_equations(s, m, design, half)
+    if name == "midp":
+        return _midp_equations(s, design, half)
+    return None
 
 
 def coverage(method: str, p: float, design: TwoStageDesign, level: float = 0.95) -> float:

@@ -572,3 +572,80 @@ def midp_covered_full_row(row, design, half):
     start = bisect_left(range(top), True, key=lambda r: tail(r) <= 1.0 - half)
     stop = bisect_left(range(top), True, start, top, key=lambda r: tail(r) < half)
     return [s for s, r in enumerate(ranks) if start <= r < stop]
+
+
+def check_estimate_consistency_oracle(record):
+    """audit.check_estimate_consistency as it was before candidates were
+    ruled out at the rounding window: every estimate is computed, then
+    compared by _rounds_to. Returns (evaluable, reason, adjusted_evaluable,
+    matched_estimators)."""
+    from twostage.audit import ADJUSTED_ESTIMATORS, _analysis_state, _rounds_to, _stage2_gap
+    from twostage.inference import estimate_all, estimate_naive
+
+    reason = _stage2_gap(record)
+    if reason is None and record.est_reported is None:
+        reason = "estimate absent"
+    if reason is not None:
+        return False, reason, False, set()
+    decimals = record.est_decimals if record.est_decimals is not None else 2
+    candidates = {"naive": estimate_naive(record.s_analysis, record.n_analysis)}
+    state = _analysis_state(record)
+    if state is not None:
+        estimates = estimate_all(state)
+        for name in ADJUSTED_ESTIMATORS:
+            candidates[name] = getattr(estimates, name)
+    matched = {
+        name
+        for name, value in candidates.items()
+        if _rounds_to(value, record.est_reported, decimals)
+    }
+    return True, None, state is not None, matched
+
+
+def check_ci_consistency_oracle(record):
+    """audit.check_ci_consistency as it was before intervals were ruled out
+    at the rounding window: every interval is solved, then compared by
+    _rounds_to. Returns (evaluable, reason, adjusted_evaluable,
+    matched_intervals)."""
+    from twostage.audit import (
+        ADJUSTED_CIS,
+        OUT_OF_SCOPE_CI_METHODS,
+        _analysis_state,
+        _rounds_to,
+        _stage2_gap,
+    )
+    from twostage.inference import ci_clopper_pearson, ci_wald, ci_wilson, interval_for_outcome
+
+    reason = _stage2_gap(record)
+    if reason is None:
+        if record.ci_low is None or record.ci_upp is None:
+            reason = "interval absent"
+        elif record.ci_level is None:
+            reason = "level absent"
+        elif record.ci_low > record.ci_upp:
+            reason = "interval endpoints reversed"
+        elif (
+            record.ci_method_stated is not None
+            and record.ci_method_stated.strip().lower() in OUT_OF_SCOPE_CI_METHODS
+        ):
+            reason = "not evaluable (method out of scope)"
+    if reason is not None:
+        return False, reason, False, set()
+    decimals = record.ci_decimals if record.ci_decimals is not None else 2
+    s, m, level = record.s_analysis, record.n_analysis, record.ci_level
+    candidates = {
+        "CP": ci_clopper_pearson(s, m, level),
+        "Wald": ci_wald(s, m, level),
+        "Wilson": ci_wilson(s, m, level),
+    }
+    state = _analysis_state(record)
+    if state is not None:
+        for method in ADJUSTED_CIS:
+            candidates[method] = interval_for_outcome(method, s, state.analysis_design, level)
+    matched = {
+        name
+        for name, ci in candidates.items()
+        if _rounds_to(ci.low, record.ci_low, decimals)
+        and _rounds_to(ci.upp, record.ci_upp, decimals)
+    }
+    return True, None, state is not None, matched

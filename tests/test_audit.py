@@ -4,13 +4,18 @@ import json
 import math
 import os
 import random
+from decimal import ROUND_HALF_EVEN, Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rounds_to_decimal_oracle
-from twostage import audit
+from oracles import (
+    check_ci_consistency_oracle,
+    check_estimate_consistency_oracle,
+    rounds_to_decimal_oracle,
+)
+from twostage import audit, inference
 from twostage.audit import (
     ParseResult,
     TrialRecord,
@@ -23,6 +28,7 @@ from twostage.audit import (
     report_to_json,
     write_figure_data,
 )
+from twostage.inference import CI_METHODS, estimate_all, interval_for_outcome
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "audit_golden.csv")
@@ -387,6 +393,219 @@ def test_rounds_to_equals_the_decimal_rule(decimals):
             matched += expected
     # both answers occur
     assert 0 < matched < checked
+
+
+# ---------------------------------------------------------------------------
+# candidates ruled out at the rounding window
+
+
+def _reported_near(value: float, decimals: int) -> list[float]:
+    """The value in [0, 1] rounded half-even to the decimals (first), moved
+    by k = -2, -1, 1 and 2 quanta, and the two points halfway to its
+    neighbours; those in [0, 1]."""
+    quantum = Decimal(1).scaleb(-decimals)
+    rounded = Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_EVEN)
+    points = [rounded + k * quantum for k in (0, -2, -1, 1, 2)]
+    points += [rounded - quantum / 2, rounded + quantum / 2]
+    return [float(x) for x in points if 0 <= x <= 1]
+
+
+def _outcome_record(a1, n1, n, n_analysis, s, **fields) -> TrialRecord:
+    return TrialRecord(
+        id="T", stage_claimed=2, a1=a1, n1=n1, n=n, n_analysis=n_analysis, s_analysis=s,
+        **fields,
+    )
+
+
+def _intervals(record: TrialRecord, level: float) -> list:
+    """Every interval method's interval for the record's outcome."""
+    state = audit._analysis_state(record)
+    return [
+        interval_for_outcome(method, record.s_analysis, state.analysis_design, level)
+        for method in CI_METHODS
+    ]
+
+
+def _assert_estimate_matches_as_solved(record: TrialRecord) -> int:
+    """The check equals the solve-everything reference; returns the number
+    of candidates it left unsolved."""
+    check = check_estimate_consistency(record)
+    expected = check_estimate_consistency_oracle(record)
+    got = (check.evaluable, check.reason, check.adjusted_evaluable, check.matched_estimators)
+    assert got == expected, (record, got, expected)
+    return 1 + len(audit.ADJUSTED_ESTIMATORS) - len(check.candidates) if check.evaluable else 0
+
+
+def _assert_interval_matches_as_solved(record: TrialRecord) -> int:
+    check = check_ci_consistency(record)
+    expected = check_ci_consistency_oracle(record)
+    got = (check.evaluable, check.reason, check.adjusted_evaluable, check.matched_intervals)
+    assert got == expected, (record, got, expected)
+    return len(CI_METHODS) - len(check.candidates) if check.evaluable else 0
+
+
+# (a1, n1, planned n, n_analysis, s): the smallest stage-2 total a1 + 1, the
+# largest n_analysis, interior totals, and analyses at a realised size
+# above and below the planned one
+EXCLUSION_CASES = [
+    (1, 10, 29, 29, 2),
+    (1, 10, 29, 29, 6),
+    (1, 10, 29, 29, 29),
+    (3, 13, 43, 40, 12),
+    (3, 13, 43, 46, 4),
+    (7, 16, 46, 46, 23),
+]
+
+
+@pytest.mark.parametrize("case", EXCLUSION_CASES, ids=str)
+def test_estimate_matches_equal_those_of_solving_every_candidate(case):
+    record = _outcome_record(*case)
+    estimates = estimate_all(audit._analysis_state(record)).to_json_dict().values()
+    ruled_out = matched = 0
+    for decimals in range(18):
+        for value in estimates:
+            for reported in _reported_near(value, decimals):
+                record.est_reported, record.est_decimals = reported, decimals
+                ruled_out += _assert_estimate_matches_as_solved(record)
+                matched += not check_estimate_consistency(record).matched_estimators.isdisjoint(
+                    audit.ADJUSTED_ESTIMATORS
+                )
+    assert ruled_out and matched
+
+
+@pytest.mark.parametrize("level", [0.9, 0.95])
+@pytest.mark.parametrize("case", EXCLUSION_CASES, ids=str)
+def test_interval_matches_equal_those_of_solving_every_interval(case, level):
+    record = _outcome_record(*case, ci_level=level)
+    ruled_out = 0
+    for decimals in range(18):
+        record.ci_decimals = decimals
+        for ci in _intervals(record, level):
+            low, upp = (_reported_near(end, decimals) for end in (ci.low, ci.upp))
+            # one end moved at a time, the other at its rounded value
+            pairs = [(x, upp[0]) for x in low] + [(low[0], x) for x in upp]
+            for record.ci_low, record.ci_upp in pairs:
+                ruled_out += _assert_interval_matches_as_solved(record)
+    assert ruled_out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_matches_equal_those_of_solving_every_candidate_on_random_designs(data):
+    n1 = data.draw(st.integers(1, 25), label="n1")
+    a1 = data.draw(st.integers(0, n1 - 1), label="a1")
+    n_analysis = data.draw(st.integers(n1 + 1, n1 + 40), label="n_analysis")
+    s = data.draw(
+        st.one_of(st.sampled_from([a1 + 1, n_analysis]), st.integers(0, n_analysis)), label="s"
+    )
+    level = data.draw(st.sampled_from([0.9, 0.95]), label="level")
+    decimals = data.draw(st.integers(0, 17), label="decimals")
+    record = _outcome_record(a1, n1, n1 + 20, n_analysis, s, ci_level=level)
+    record.est_decimals = record.ci_decimals = decimals
+    state = audit._analysis_state(record)
+    if state is None:
+        # s <= a1 at stage 2: only the unadjusted procedures apply
+        values = [s / n_analysis]
+        intervals = [inference.ci_clopper_pearson(s, n_analysis, level)]
+    else:
+        values = list(estimate_all(state).to_json_dict().values())
+        intervals = _intervals(record, level)
+    record.est_reported = data.draw(
+        st.sampled_from(_reported_near(data.draw(st.sampled_from(values)), decimals))
+    )
+    _assert_estimate_matches_as_solved(record)
+    ci = data.draw(st.sampled_from(intervals))
+    record.ci_low = data.draw(st.sampled_from(_reported_near(ci.low, decimals)))
+    record.ci_upp = data.draw(st.sampled_from(_reported_near(ci.upp, decimals)))
+    _assert_interval_matches_as_solved(record)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The targets of every solve_monotone_root call and the number of
+    estimate_conditional calls, with the interval caches emptied first."""
+    calls = {"targets": [], "conditional": 0}
+    solve, conditional = inference.solve_monotone_root, inference.estimate_conditional
+
+    def counted_solve(f, target, **kwargs):
+        calls["targets"].append(target)
+        return solve(f, target, **kwargs)
+
+    def counted_conditional(state):
+        calls["conditional"] += 1
+        return conditional(state)
+
+    monkeypatch.setattr(inference, "solve_monotone_root", counted_solve)
+    monkeypatch.setattr(inference, "estimate_conditional", counted_conditional)
+    inference.interval_for_outcome.cache_clear()
+    inference.ci_clopper_pearson.cache_clear()
+    return calls
+
+
+# 1/10, 5/29 with 6 of 29 responses: every estimate lies within 0.17..0.21,
+# and every 95% interval's limits within 0.06..0.41
+FAR = dict(est_reported=0.9, ci_level=0.95, ci_low=0.8, ci_upp=0.9)
+
+
+def test_a_record_far_from_every_adjusted_value_solves_only_jt(solves):
+    record = _outcome_record(1, 10, 29, 29, 6, **FAR)
+    summary = audit_summary([record])
+    figures = export_figure_data([record])
+    assert summary["consistency"]["estimate_matches_any_adjusted"]["count"] == 0
+    assert figures["ci_length_and_coverage"]["rows"][0][3] == "CP"
+    half = (1 - 0.95) / 2
+    # the JT lower and upper limits, solved once for both passes
+    assert solves == {"targets": [half, half], "conditional": 0}
+    assert set(check_estimate_consistency(record).candidates) == {
+        "naive", "bias_subtracted", "umvue", "umvcue",
+    }
+    assert set(check_ci_consistency(record).candidates) == {"Wald", "Wilson", "JT"}
+
+
+@pytest.mark.parametrize(
+    "reported, decimals",
+    [
+        (0.9, 7),  # a quantum below 1e-6
+        (0.01, 2),  # the window [0, 0.02] touches 0
+        (0.99, 2),  # the window [0.98, 1] touches 1
+        (0.5, 0),  # the window [-0.5, 1.5] covers [0, 1]
+    ],
+)
+def test_an_estimate_window_that_cannot_rule_out_solves_every_root(solves, reported, decimals):
+    record = _outcome_record(1, 10, 29, 29, 6, est_reported=reported, est_decimals=decimals)
+    check = check_estimate_consistency(record)
+    assert len(check.candidates) == 7
+    # the bias-adjusted and median-unbiased roots, and the conditional MLE
+    assert len(solves["targets"]) == 2 and solves["conditional"] == 1
+    assert check.matched_estimators == check_estimate_consistency_oracle(record)[3]
+
+
+def test_an_estimate_window_inside_the_unit_interval_rules_out(solves):
+    record = _outcome_record(1, 10, 29, 29, 6, est_reported=0.9, est_decimals=6)
+    assert len(check_estimate_consistency(record).candidates) == 4
+    assert solves == {"targets": [], "conditional": 0}
+
+
+@pytest.mark.parametrize(
+    "low, upp, decimals, solved",
+    [
+        (0.8, 0.9, 7, 5),  # a quantum below 1e-6 at both ends
+        (0.01, 0.99, 2, 5),  # windows that touch 0 and 1
+        (0.01, 0.9, 2, 3),  # the lower window decides nothing; the upper rules out
+        (0.8, 0.99, 2, 3),  # the lower rules out, so the upper window is not read
+    ],
+)
+def test_an_interval_window_that_cannot_rule_out_solves_both_limits(
+    solves, low, upp, decimals, solved
+):
+    record = _outcome_record(
+        1, 10, 29, 29, 6, ci_level=0.95, ci_low=low, ci_upp=upp, ci_decimals=decimals
+    )
+    check = check_ci_consistency(record)
+    assert len(check.candidates) == solved
+    # two limits of JT, and of mid-p and CP when they are not ruled out
+    assert len(solves["targets"]) == 2 * (solved - 2)
+    assert check.matched_intervals == check_ci_consistency_oracle(record)[3]
 
 
 def load_pinned(name: str):

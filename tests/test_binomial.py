@@ -24,6 +24,7 @@ from twostage.binomial import (
     binom_pmf_row,
     binom_upper_tail,
     normal_quantile,
+    root_outside,
     solve_monotone_root,
 )
 from twostage.design import TwoStageDesign
@@ -205,6 +206,26 @@ def test_root_solver_recovers_known_roots():
     # decreasing function
     root = solve_monotone_root(lambda p: binom_cdf(3, 10, p), 0.2)
     assert binom_cdf(3, 10, root.value) == pytest.approx(0.2, abs=1e-8)
+
+
+def test_root_outside_needs_one_strict_sign_at_both_ends():
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        return p
+
+    assert root_outside(f, 0.5, 0.1, 0.2) and root_outside(f, 0.05, 0.1, 0.2)
+    assert not root_outside(f, 0.15, 0.1, 0.2)
+    # a zero at either end is not a strict sign
+    assert not root_outside(f, 0.1, 0.1, 0.2) and not root_outside(f, 0.2, 0.1, 0.2)
+    # a decreasing sum, and a NaN, which decides nothing
+    assert root_outside(lambda p: 1 - p, 0.5, 0.6, 0.7)
+    assert not root_outside(lambda p: math.nan, 0.5, 0.6, 0.7)
+    # the upper end is not evaluated once the lower end decides
+    calls.clear()
+    assert not root_outside(f, 0.1, 0.1, 0.2)
+    assert calls == [0.1]
 
 
 def test_root_solver_out_of_bracket():

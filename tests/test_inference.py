@@ -352,6 +352,59 @@ def test_conditional_estimate_where_the_continuation_tail_underflows(text, total
         ), s
 
 
+@pytest.mark.parametrize("text", ["30/60, 40/100", "29/100, 60/120", "1/10, 5/29"])
+def test_conditional_estimate_is_within_2e_8_of_its_score_root(text):
+    # the audit rules out a conditional MLE at a rounding window on its
+    # score equation E_p[S | continue] = s; that is exact only while the
+    # golden-section value stays within 2e-8 of the equation's root (1.5e-8
+    # measured on 30/60, 40/100) and the score rises with p
+    design = TwoStageDesign.from_compact(text)
+    for s in range(design.a1 + 2, design.n):
+        outcome = state(s, design.n, design)
+        root = conditional_mle_mp(s, design.n, design.a1, design.n1)
+        assert abs(estimate_conditional(outcome) - root) <= 2e-8, s
+        score, target = inference.estimate_equation("conditional", outcome)
+        assert target == s
+        assert score(root - 1e-7) < s < score(root + 1e-7), s
+    grid = [score(k / 400) for k in range(1, 400)]
+    assert all(low < high for low, high in zip(grid, grid[1:]))
+
+
+def test_conditional_score_equation_only_at_interior_stage2_outcomes():
+    for s, m in [(0, 10), (1, 10), (2, 29), (29, 29)]:
+        assert inference.estimate_equation("conditional", state(s, m)) is None
+    score, _ = inference.estimate_equation("conditional", state(6, 29))
+    # the continuation terms of 30/60, 40/100 underflow near p = 0, where
+    # the score decides nothing
+    deep = TwoStageDesign.from_compact("30/60, 40/100")
+    deep_score, _ = inference.estimate_equation("conditional", state(50, 100, deep))
+    assert math.isnan(deep_score(1e-12))
+    assert 2.0 < score(0.1) < 29.0
+
+
+def test_equations_are_the_ones_the_solvers_solve():
+    for s in range(DESIGN.n1 + 1, DESIGN.n + 1):
+        outcome = state(s, DESIGN.n)
+        for name in ("bias_adjusted", "median_unbiased"):
+            f, target = inference.estimate_equation(name, outcome)
+            root = solve_monotone_root(f, target, tol=inference.ROOT_TOL)
+            assert getattr(estimate_all(outcome), name) == root.value, (name, s)
+        for method in ("JT", "midp", "CP"):
+            ci = interval_for_outcome(method, s, DESIGN, 0.9)
+            equations = inference.interval_equations(method, s, DESIGN.n, 0.9, DESIGN)
+            if equations is None:
+                assert method == "CP" and s == DESIGN.n
+                continue
+            roots = [solve_monotone_root(f, t, tol=inference.ROOT_TOL) for f, t in equations]
+            low = 0.0 if roots[0].out_of_bracket and method != "CP" else roots[0].value
+            upp = 1.0 if roots[1].out_of_bracket and method != "CP" else roots[1].value
+            assert (ci.low, ci.upp) == (low, upp), (method, s)
+    for name in ("naive", "bias_subtracted", "umvue", "umvcue"):
+        assert inference.estimate_equation(name, state(6, 29)) is None
+    for method in ("Wald", "Wilson"):
+        assert inference.interval_equations(method, 6, 29, 0.95) is None
+
+
 @pytest.mark.parametrize("design", DESIGNS, ids=lambda d: d.compact())
 def test_umvue_bias_is_float_rounding(design):
     # the UMVUE is unbiased at every p, so its computed bias is rounding
