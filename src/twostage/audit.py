@@ -24,6 +24,7 @@ from .inference import (
     AnalysisState,
     ConfidenceInterval,
     Equation,
+    _check_level,
     ci_clopper_pearson,
     ci_wald,
     ci_wilson,
@@ -160,10 +161,10 @@ def parse_records(
 
     Proportion columns given on a 0-100 scale are divided by 100 and
     flagged. Malformed cells, an n or n_analysis above MAX_SAMPLE_SIZE,
-    an n_analysis below 1, an s_analysis outside 0..n_analysis and a
-    precision (stated, or read off the reported value's text) outside
-    0..MAX_DECIMALS produce a row-level error and parsing continues;
-    unknown columns produce a warning.
+    an n_analysis below 1, an s_analysis outside 0..n_analysis, a ci_level
+    outside (0, 1) and a precision (stated, or read off the reported
+    value's text) outside 0..MAX_DECIMALS produce a row-level error and
+    parsing continues; unknown columns produce a warning.
     """
     if isinstance(source, str):
         stream: TextIO = io.StringIO(source)
@@ -217,6 +218,8 @@ def parse_records(
                         record.percent_normalised.append(column)
                     if not 0.0 <= value <= 1.0:
                         raise ValueError(f"proportion out of range: {value}")
+                    if column == "ci_level":
+                        _check_level(value)
                     setattr(record, name, value)
                     precision = _DECIMALS_FIELD.get(column)
                     if precision is not None and getattr(record, precision) is None:

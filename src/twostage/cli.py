@@ -131,7 +131,7 @@ def _oc_rows(design: TwoStageDesign, targets: DesignTargets) -> tuple[dict, list
     oc = operating_characteristics(design, targets)
     payload = {"design": design.to_json_dict(), "oc": oc.to_json_dict()}
     rows = [("design", design.compact())]
-    rows += [(k, _format_float(v)) for k, v in oc.to_json_dict().items()]
+    rows += [(k, _format_float(v)) for k, v in payload["oc"].items()]
     return payload, rows
 
 
@@ -335,6 +335,9 @@ def _cmd_audit(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    # the top-level parser's subcommand parsers by name, set by build_parser
+    commands: dict[str, argparse.ArgumentParser]
+
     def error(self, message: str) -> None:  # type: ignore[override]
         sys.stderr.write(f"USAGE: {message}\n")
         self.print_usage(sys.stderr)
@@ -347,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Design, analyse, and audit two-stage single-arm binomial trials.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
+    parser.commands = sub.choices
 
     p = sub.add_parser("design", parents=[], help="search for an optimal design")
     _add_target_flags(p)
@@ -433,7 +437,20 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a known command's flags go straight to its own parser, the one the
+    # top-level parser would hand them to; anything else (no command, an
+    # unknown one, help or a usage error) goes through the full parse, so
+    # help and usage errors print what they always did
+    args = None
+    if argv and argv[0] in parser.commands:
+        namespace = argparse.Namespace(command=argv[0])
+        args, extras = parser.commands[argv[0]].parse_known_args(argv[1:], namespace)
+        if extras:
+            args = None
+    if args is None:
+        args = parser.parse_args(argv)
     if not getattr(args, "handler", None):
         parser.print_usage(sys.stderr)
         sys.stderr.write("USAGE: a subcommand is required\n")

@@ -151,7 +151,8 @@ class OperatingCharacteristics:
     en_p1: float
 
     def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # the fields in order; every one is a scalar, so no deep copy
+        return dict(vars(self))
 
 
 def terminal_pmf(

@@ -9,7 +9,6 @@ interpretations of trial results.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -116,7 +115,8 @@ class InterpretationProbabilities:
     naive_at_least_p1_at_p1: float
 
     def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # the fields in order; every one is a scalar, so no deep copy
+        return dict(vars(self))
 
 
 def interpretation_probabilities(

@@ -95,7 +95,8 @@ class EstimateSet:
     median_unbiased: float
 
     def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # the fields in order; every one is a scalar, so no deep copy
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,8 @@ class ConfidenceInterval:
         return self.low <= p <= self.upp
 
     def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # the fields in order; every one is a scalar, so no deep copy
+        return dict(vars(self))
 
 
 def _check_level(level: float) -> float:

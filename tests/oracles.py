@@ -6,6 +6,7 @@ computational paths.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -649,3 +650,25 @@ def check_ci_consistency_oracle(record):
         and _rounds_to(ci.upp, record.ci_upp, decimals)
     }
     return True, None, state is not None, matched
+
+
+def cli_main_full_parse(argv=None):
+    """cli.main as it was when every argv went through the full parser: the
+    top-level parser classifies each flag, then hands them all to the
+    subcommand's parser."""
+    from twostage import cli
+
+    parser = cli._parser()
+    args = parser.parse_args(argv)
+    if not getattr(args, "handler", None):
+        parser.print_usage(sys.stderr)
+        sys.stderr.write("USAGE: a subcommand is required\n")
+        return cli.EXIT_INVALID
+    try:
+        return args.handler(args)
+    except cli.InfeasibleDesignError as exc:
+        sys.stderr.write(f"INFEASIBLE: {exc}\n")
+        return cli.EXIT_INFEASIBLE
+    except ValueError as exc:
+        sys.stderr.write(f"INVALID_INPUT: {exc}\n")
+        return cli.EXIT_INVALID

@@ -148,6 +148,20 @@ def test_parse_accepts_a_precision_within_range(text, decimals):
     assert parsed.records[0].est_decimals == decimals
 
 
+@pytest.mark.parametrize(
+    "raw, level",
+    [("1", 1.0), ("0", 0.0), ("100", 1.0), ("1.0", 1.0), ("100%", 1.0)],
+    ids=["one", "zero", "percent_100", "one_point_zero", "percent_sign"],
+)
+def test_parse_rejects_a_ci_level_outside_the_open_unit_interval(raw, level):
+    parsed = parse_records(f"id,ci_level,ci_low,ci_upp\nBAD,{raw},0.1,0.5\nOK,95,0.1,0.5\n")
+    assert [(r.id, r.ci_level) for r in parsed.records] == [("OK", 0.95)]
+    (error,) = parsed.errors
+    assert (error.row, error.record_id, error.message) == (
+        2, "BAD", f"column 'ci_level': confidence level must lie in (0, 1), got {level}"
+    )
+
+
 def test_parse_warns_on_unknown_columns():
     parsed = parse_records("id,flavour\nT,vanilla\n")
     assert parsed.warnings and "flavour" in parsed.warnings[0]

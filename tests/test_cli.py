@@ -5,8 +5,11 @@ import os
 import subprocess
 import sys
 
+import argparse
+
 import pytest
 
+from oracles import cli_main_full_parse
 from twostage import cli
 from twostage.cli import main
 
@@ -406,6 +409,26 @@ def test_audit_reports_a_precision_out_of_range_as_row_errors(capsys, tmp_path):
     assert report["consistency"]["estimate_matches_unadjusted"]["count"] == 1
 
 
+def test_audit_reports_a_ci_level_of_one_as_a_row_error(capsys, tmp_path):
+    # a level of 1 used to reach the interval solver and abort the whole
+    # audit with INVALID_INPUT, losing the other record's report
+    records = tmp_path / "records.csv"
+    records.write_text(
+        "id,a1,a,n1,n,stage,n_analysis,s_analysis,est,ci_level,ci_low,ci_upp\n"
+        "R01,1,5,10,29,2,29,6,0.21,1,0.08,0.40\n"
+        "R02,1,5,10,29,2,29,6,0.21,0.95,0.08,0.40\n"
+    )
+    status, out, err = run(capsys, "audit", "--input", str(records))
+    assert status == 4
+    assert err == (
+        "ROW_ERROR: row 2 (id R01): column 'ci_level': confidence level must lie in (0, 1), "
+        "got 1.0\n"
+    )
+    report = json.loads(out)
+    assert (report["n_records"], report["row_errors"]) == (1, 1)
+    assert report["consistency"]["ci_reanalysable"]["count"] == 1
+
+
 def test_audit_empty_file(capsys, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("id\n")
@@ -519,6 +542,74 @@ def test_parser_is_built_once_and_reuse_changes_no_output(capsys, monkeypatch):
     assert first[2][2].startswith("USAGE:")
     assert first[8][2].startswith("INVALID_INPUT:")
     assert "usage: twostage" in first[6][1]
+
+
+def _outcome_of(entry, argv):
+    # a usage error and --help leave through SystemExit; keep its code
+    try:
+        status = entry(list(argv))
+    except SystemExit as exc:
+        status = exc.code
+    return status
+
+
+# usage errors, help and parses that only a subcommand's parser can decide,
+# besides REUSE_ARGV's (no command, --help, oc --wat) and each command's --help
+EDGE_ARGV = [
+    ["-h"],
+    ["bogus"],
+    ["oc", "--design", "1/10,5/29", "--wat"],
+    ["estimate", "--des", "1/10,5/29", "--s", "6", "--m", "29"],
+    ["estimate", "--design", "1/10,5/29", "--s=6", "--m", "29"],
+    ["estimate", "--design", "1/10,5/29", "--s", "6"],
+    ["estimate", "--design", "1/10,5/29", "--s", "x", "--m", "29"],
+    ["estimate", *OUTCOME, "trailing"],
+    ["estimate", *OUTCOME, "--"],
+    ["ci", *OUTCOME, "--format", "xml"],
+    ["ci", *OUTCOME, "--", "--level", "0.9"],
+    ["ci", "--he"],
+    ["--design", "1/10,5/29", "ci"],
+    ["oc", "--design=1/10,5/29", *TARGETS, "--format", "json"],
+    ["design", *TARGETS, "--nmax", "12"],
+    ["audit", "--input"],
+]
+# a repeated flag keeps its last value
+REPEATED_ARGV = [
+    ["ci", *OUTCOME, "--s", "7", "--method", "cp", "--method", "midp"],
+    ["oc", "--design", "1/15,5/25", "--design", "1/10,5/29", *TARGETS, "--format", "csv"],
+    ["estimate", *OUTCOME, "--methods", "umvue", "--methods", "naive,conditional"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    REUSE_ARGV
+    + [[name, "--help"] for name in cli.build_parser().commands]
+    + EDGE_ARGV
+    + REPEATED_ARGV,
+    ids=lambda argv: " ".join("GOLDEN" if arg == GOLDEN else arg for arg in argv) or "no-args",
+)
+def test_main_prints_what_the_full_parse_prints(capsys, argv):
+    expected = _outcome_of(cli_main_full_parse, argv), *capsys.readouterr()
+    assert (_outcome_of(main, argv), *capsys.readouterr()) == expected
+
+
+def test_a_valid_command_is_parsed_once(capsys, monkeypatch):
+    parse_known_args, calls = argparse.ArgumentParser.parse_known_args, []
+
+    def counting_parse_known_args(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse_known_args)
+    argv = ["ci", *OUTCOME, "--method", "cp"]
+    assert main(argv) == 0
+    assert calls == ["twostage ci"]
+    calls.clear()
+    # the full parse runs the top-level parser, then the subcommand's
+    assert cli_main_full_parse(argv) == 0
+    assert calls == ["twostage", "twostage ci"]
+    capsys.readouterr()
 
 
 def _fresh_interpreter(code: str) -> str:

@@ -1,5 +1,6 @@
 """Point estimation, p-values, confidence intervals, and exact coverage."""
 
+import dataclasses
 import math
 import operator
 import random
@@ -28,7 +29,14 @@ from oracles import (
 )
 from twostage import inference
 from twostage.binomial import binom_cdf, binom_upper_tail, solve_monotone_root
-from twostage.design import DesignTargets, TwoStageDesign, _COUNT_ROWS, terminal_pmf
+from twostage.design import (
+    DesignTargets,
+    TwoStageDesign,
+    _COUNT_ROWS,
+    operating_characteristics,
+    terminal_pmf,
+)
+from twostage.deviation import interpretation_probabilities
 from twostage.inference import (
     AnalysisState,
     ci_clopper_pearson,
@@ -930,3 +938,20 @@ def test_clopper_pearson_interval_is_solved_once():
     assert ci_clopper_pearson(7, 31, 0.9) is ci_clopper_pearson(7, 31, 0.9)
     after = ci_clopper_pearson.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+
+
+def test_result_records_serialise_as_asdict_in_field_order():
+    # to_json_dict builds a shallow dict; it must stay the dict asdict gives
+    state = AnalysisState(design=DESIGN, s=6, m=29)
+    records = [
+        estimate_all(state),
+        interval_for_outcome("JT", 6, DESIGN, 0.9),
+        operating_characteristics(DESIGN, TARGETS),
+        interpretation_probabilities(DESIGN),
+    ]
+    for record in records:
+        as_json, expected = record.to_json_dict(), dataclasses.asdict(record)
+        assert as_json == expected
+        assert list(as_json) == list(expected)
+        as_json.clear()  # a copy: clearing it leaves the record as it was
+        assert record.to_json_dict() == expected
