@@ -26,9 +26,10 @@ _STD_NORMAL = NormalDist()
 # Largest sample size the binomial kernel, the terminal-outcome kernel, the
 # design search's n_max, the deviation analyses and the audit accept. It
 # bounds the work and memory of one analysis: a row of exact path counts at
-# this size takes 2 to 2.6 s to build, 2.6 MB to keep as integers and 40 KB
-# as logs, and the one store of such rows (design._CountRows) holds at most
-# 2^16 counts, under 60 MB in all (see design.path_counts).
+# this size takes 2 to 2.6 s to build and 2.6 MB to keep as integers, and the
+# one store of prepared terminal rows (design._CountRows) holds at most 2^16
+# entries, one per total. An entry above a1 takes at most 740 bytes with its
+# count, a stage-1 entry, which carries no count, 40: under 51 MB in all.
 MAX_SAMPLE_SIZE = 5000
 
 
@@ -54,9 +55,12 @@ def binom_pmf_row(m: int, p: float, start: int = 0, stop: int | None = None) -> 
     lgamma calls bit for bit.
 
     binom_pmf caches single terms of it; the row itself is not cached.
-    The terminal-outcome kernel and the tails are mostly taken at root-solve
-    points that never recur; caching their terms one by one would fill the
-    scalar cache with entries that are never read again.
+    The tails are mostly taken at root-solve points that never recur;
+    caching their terms one by one would fill the scalar cache with entries
+    that are never read again. The terminal-outcome kernel does not call
+    it: each design's prepared row (design.terminal_pmf) keeps the p-free
+    part lf[m] - lf[s] - lf[m - s] of its stage-1 terms and adds the same
+    two products to it, so its terms are these, bit for bit.
     """
     _check_trial(m, p)
     stop = m + 1 if stop is None else stop
@@ -102,7 +106,9 @@ def binom_upper_tail(s: int, m: int, p: float) -> float:
     """P(X >= s) for X ~ Bin(m, p), summed directly for small-tail accuracy.
 
     s <= 0 gives 1 exactly and s > m gives 0 exactly, so callers can use
-    unclamped indices.
+    unclamped indices. A caller that keeps its own tails calls the same
+    sum uncached, as binom_upper_tail.__wrapped__, and leaves the cache to
+    the tails that recur (inference._log_continuation_row).
     """
     _check_trial(m, p)
     if s <= 0:

@@ -442,12 +442,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     # a known command's flags go straight to its own parser, the one the
     # top-level parser would hand them to; anything else (no command, an
     # unknown one, help or a usage error) goes through the full parse, so
-    # help and usage errors print what they always did
+    # help and usage errors print what they always did. A trailing "--"
+    # ends the options and names nothing, but the command's parser leaves
+    # it over, so it alone counts as no leftover
     args = None
     if argv and argv[0] in parser.commands:
         namespace = argparse.Namespace(command=argv[0])
         args, extras = parser.commands[argv[0]].parse_known_args(argv[1:], namespace)
-        if extras:
+        if extras and extras != ["--"]:
             args = None
     if args is None:
         args = parser.parse_args(argv)

@@ -14,12 +14,12 @@ import math
 import re
 from dataclasses import dataclass
 from collections import OrderedDict
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, repeat
 from operator import add, mul
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
-from .binomial import MAX_SAMPLE_SIZE, binom_cdf, binom_pmf_row
+from .binomial import MAX_SAMPLE_SIZE, _check_trial, _log_factorials, binom_cdf, binom_pmf_row
 
 
 class InfeasibleDesignError(ValueError):
@@ -172,67 +172,86 @@ def terminal_pmf(
     term for term. Only the terms in the slice are built, so a suffix or a
     prefix sum costs one exp per term it reads.
 
-    Every path that continues and ends with s successes has probability
-    p^s (1 - p)^(n - s), so row[s] = c_s p^s (1 - p)^(n - s) for s > a1,
-    with the path count c_s of path_counts, which does not depend on p.
-    The design's own cap bounds the row.
+    Every term is exp(e_s + s log p + (size_at(s) - s) log(1 - p)), read
+    from the design's prepared row (_prepared_row): e_s is log C(n1, s) as
+    binom_pmf_row forms it for s <= a1, and log c_s above a1, with the path
+    count c_s of path_counts, since each continuing path that ends with s
+    successes has probability p^s (1 - p)^(n - s). Each term equals the
+    one binom_pmf_row or the count gives, bit for bit. The design's own
+    cap bounds the row.
     """
-    n, split = design.n, design.a1 + 1
+    n = design.n
     stop = n + 1 if stop is None else stop
     if start < 0 or stop > n + 1:
         raise ValueError(f"totals {start}..{stop - 1} are outside 0..{n}")
-    # stage-1 terms s < split; the call also checks p when it builds none
-    lo = min(start, split)
-    row = binom_pmf_row(design.n1, p, lo, max(lo, min(stop, split)))
-    lo = max(start, split)
-    if lo >= stop:
-        return row
-    if 0.0 < p < 1.0:
-        log_p, log_q, exp = math.log(p), math.log1p(-p), math.exp
-        logs = _log_counts(design.a1, design.n1, n)[lo - split : stop - split]
-        row += [exp(log_c + s * log_p + (n - s) * log_q) for s, log_c in enumerate(logs, start=lo)]
-    else:
-        row += [0.0] * (stop - lo)
-        if p == 1.0 and stop == n + 1:
-            row[-1] = 1.0
-    return row
+    if not 0.0 < p < 1.0:
+        _check_trial(n, p)
+        # the trial ends with no success at p = 0, with n of them at p = 1
+        mode = 0 if p == 0.0 else n
+        return [1.0 if s == mode else 0.0 for s in range(start, stop)]
+    _, exponents, totals, rests = _COUNT_ROWS.get(design.a1, design.n1, n)
+    log_p, log_q, exp = math.log(p), math.log1p(-p), math.exp
+    return [
+        exp(c + s * log_p + f * log_q)
+        for c, s, f in zip(exponents[start:stop], totals[start:stop], rests[start:stop])
+    ]
 
 
-# Largest number of path counts _COUNT_ROWS keeps, summed over its rows.
+# Largest number of row entries _COUNT_ROWS keeps, summed over its rows.
 COUNT_ROW_BUDGET = 1 << 16
 
-# one row of path counts with their logs
-_CountRow = tuple[tuple[int, ...], Sequence[float]]
+# one prepared terminal row: the path counts c_s for s = a1 + 1..n_final;
+# the p-free exponent e_s for every s = 0..n_final; the shared table
+# _totals, whose entry s is float(s); and float(size_at(s) - s) for every s
+_CountRow = tuple[tuple[int, ...], list[float], list[float], list[float]]
 
 
-def _pascal_row(a1: int, n1: int, n_final: int) -> _CountRow:
-    """path_counts' row built by Pascal's rule, with its logs in an
-    array('d'). math.log takes an int of any size, so counts beyond the
-    float range (C(2000, 1000) is about 1e600) never overflow."""
-    # imported here, not at module level: array is a shared library, and
-    # importing the CLI should not load it
-    from array import array
+@lru_cache(maxsize=1)
+def _totals() -> list[float]:
+    """float(k) for k = 0..MAX_SAMPLE_SIZE, built on first use: the
+    multipliers of log p and log(1 - p) in every prepared row, which share
+    these float objects. 5001 floats, about 32 bytes each: 160 KB."""
+    return [float(k) for k in range(MAX_SAMPLE_SIZE + 1)]
 
+
+def _prepared_row(a1: int, n1: int, n_final: int) -> _CountRow:
+    """The prepared terminal row of the design (a1, n1, n_final).
+
+    The path counts are built exactly by Pascal's rule. The exponent part
+    is lf[n1] - lf[s] - lf[n1 - s] for s <= a1, the intermediate
+    binom_pmf_row forms from the same log-factorial table, and log c_s
+    above a1; math.log takes an int of any size, so counts beyond the float
+    range (C(2000, 1000) is about 1e600) never overflow. The multiplier
+    lists hold floats of _totals, not copies, and every list is built at
+    its exact length."""
     row = [math.comb(n1, i) for i in range(a1 + 1, n1 + 1)]
     for _ in range(n_final - n1):
         row = list(map(add, row + [0], [0] + row))
-    logs = array("d", list(map(math.log, row)))
-    return tuple(row), logs
+    lf, totals = _log_factorials(), _totals()
+    lf_n1 = lf[n1]
+    exponents = [lf_n1 - lf[s] - lf[n1 - s] for s in range(a1 + 1)] + list(map(math.log, row))
+    # size_at(s) - s: n1 - s for s = 0..a1, then n_final - s above a1
+    rests = totals[n1 : n1 - a1 - 1 : -1] + totals[n_final - a1 - 1 :: -1]
+    return tuple(row), exponents, totals, rests
 
 
 class _CountRows:
-    """The path-count rows in use, each with its logs, keyed by
-    (a1, n1, n_final), not by p, in least recently used order.
+    """The prepared terminal rows in use, keyed by (a1, n1, n_final), not
+    by p, in least recently used order.
 
-    A row is built on its first lookup. Rows are evicted, least recently
-    used first, only when the counts kept would exceed ``budget``; rows
-    are not counted, so the short rows of phase II sizes share the budget
-    with the rare row at the cap. Each count is at most an int no larger
-    than C(MAX_SAMPLE_SIZE, 2500), 692 bytes, plus its tuple slot and its
-    8-byte log: at most 708 bytes, so the counts of COUNT_ROW_BUDGET take
-    at most 46.4 MB. A row has at least 2 counts and adds under 400 bytes
-    of containers and key, about 13 MB over 2^15 rows: under 60 MB in all.
-    ``hits`` and ``misses`` count the lookups that found and built a row.
+    A row is built on its first lookup and holds n_final + 1 entries, one
+    for each total s. Rows are evicted, least recently used first, only
+    when the entries kept would exceed ``budget``. An entry above a1
+    holds its count, at most an int no larger than C(MAX_SAMPLE_SIZE, 2500),
+    692 bytes, with its 8-byte tuple slot, and every entry holds its
+    exponent, a 24-byte float in an 8-byte list slot, and an 8-byte slot
+    for its multiplier of log(1 - p); the multipliers themselves are shared
+    (_totals). So an entry takes at most 740 bytes, a stage-1 entry 40, and
+    the entries of COUNT_ROW_BUDGET at most 48.5 MB. A row adds under 600
+    bytes of containers and key, and as a final size n has n (n - 1) / 2
+    rows of n + 1 entries, the budget holds at most 3,100 rows: under 2 MB
+    more, under 51 MB in all. ``hits`` and ``misses`` count the lookups
+    that found and built a row.
     """
 
     def __init__(self, budget: int) -> None:
@@ -249,10 +268,10 @@ class _CountRows:
             rows.move_to_end(key)
             return found
         self.misses += 1
-        found = _pascal_row(a1, n1, n_final)
-        self.entries += len(found[0])
+        found = _prepared_row(a1, n1, n_final)
+        self.entries += len(found[1])
         while self.entries > self.budget and rows:
-            self.entries -= len(rows.popitem(last=False)[1][0])
+            self.entries -= len(rows.popitem(last=False)[1][1])
         rows[key] = found
         return found
 
@@ -268,17 +287,11 @@ def path_counts(a1: int, n1: int, n_final: int) -> tuple[int, ...]:
     """c_s for s = a1 + 1..n_final: the number of ways to continue past a1
     and end with s total successes, sum over i > a1 of
     C(n1, i) C(n_final - n1, s - i), positive for exactly these s. Built
-    exactly by Pascal's rule and kept in _COUNT_ROWS with its logs. As
-    c_s <= C(n_final, s), a row takes no more bytes than the binomial
-    coefficients of n_final: 11 KB at n_final = 200, 2.6 MB (built in 2 to
-    2.6 s) at MAX_SAMPLE_SIZE."""
+    exactly by Pascal's rule and kept in _COUNT_ROWS with the rest of the
+    design's prepared row. As c_s <= C(n_final, s), the counts take no
+    more bytes than the binomial coefficients of n_final: 11 KB at
+    n_final = 200, 2.6 MB (built in 2 to 2.6 s) at MAX_SAMPLE_SIZE."""
     return _COUNT_ROWS.get(a1, n1, n_final)[0]
-
-
-def _log_counts(a1: int, n1: int, n_final: int) -> Sequence[float]:
-    """log c_s of path_counts, an array('d') of 8 bytes a count, kept in
-    _COUNT_ROWS with the counts: 40 KB at MAX_SAMPLE_SIZE."""
-    return _COUNT_ROWS.get(a1, n1, n_final)[1]
 
 
 def terminal_tail(design: TwoStageDesign, p: float, s: int) -> float:

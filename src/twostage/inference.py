@@ -255,11 +255,14 @@ def estimate_umvcue(state: AnalysisState) -> float:
     return float(umvcue_fraction(state.s, state.m, state.analysis_design))
 
 
-def _log_continuation_prob(p: float, a1: int, n1: int) -> float:
-    """log P(X1 > a1) for X1 ~ Bin(n1, p), 0 < p <= 1. Where the tail
-    underflows to 0.0 (a1 near n1 and p near 0), its log is summed from
-    the log-space pmf terms instead, so the log-likelihood stays finite."""
-    tail = binom_upper_tail(a1 + 1, n1, p)
+def _log_continuation_prob(
+    p: float, a1: int, n1: int, upper_tail: Callable[[int, int, float], float] = binom_upper_tail
+) -> float:
+    """log P(X1 > a1) for X1 ~ Bin(n1, p), 0 < p <= 1, from upper_tail,
+    binom_upper_tail or its uncached sum. Where the tail underflows to 0.0
+    (a1 near n1 and p near 0), its log is summed from the log-space pmf
+    terms instead, so the log-likelihood stays finite."""
+    tail = upper_tail(a1 + 1, n1, p)
     if tail > 0.0:
         return math.log(tail)
     lf, log_p, log_q = _log_factorials(), math.log(p), math.log1p(-p)
@@ -285,12 +288,17 @@ def _mle_grid() -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]
 def _log_continuation_row(a1: int, n1: int) -> Sequence[float]:
     """log P(X1 > a1) for X1 ~ Bin(n1, x) at each scan point x of _mle_grid,
     so each stage-1 pair (a1, n1) takes its 401 tails once. At most 512
-    rows of 401 doubles are kept, 3.3 KB each: 1.7 MB in all."""
+    rows of 401 doubles are kept, 3.3 KB each: 1.7 MB in all.
+
+    The tails are binom_upper_tail's sum, uncached: this row keeps them,
+    and no other caller reads a tail at a scan point, so entering them in
+    the scalar cache would only fill it."""
     # imported here, not at module level: array is a shared library, and
     # importing the CLI should not load it
     from array import array
 
-    return array("d", [_log_continuation_prob(x, a1, n1) for x in _mle_grid()[0]])
+    uncached = binom_upper_tail.__wrapped__
+    return array("d", [_log_continuation_prob(x, a1, n1, uncached) for x in _mle_grid()[0]])
 
 
 def _conditional_score_equation(state: AnalysisState) -> Optional[Equation]:

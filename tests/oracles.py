@@ -379,6 +379,36 @@ def pmf_row_lgamma_oracle(m, p, start=0, stop=None):
     ]
 
 
+def terminal_pmf_two_builders(design, p, start=0, stop=None):
+    """terminal_pmf as two builders: binom_pmf_row for the stage-1 terms
+    s <= a1, then exp(log c_s + s log p + (n - s) log(1 - p)) for the
+    stage-2 terms, each log taken afresh from the exact path count."""
+    from twostage.binomial import binom_pmf_row
+    from twostage.design import path_counts
+
+    n, split = design.n, design.a1 + 1
+    stop = n + 1 if stop is None else stop
+    if start < 0 or stop > n + 1:
+        raise ValueError(f"totals {start}..{stop - 1} are outside 0..{n}")
+    lo = min(start, split)
+    row = binom_pmf_row(design.n1, p, lo, max(lo, min(stop, split)))
+    lo = max(start, split)
+    if lo >= stop:
+        return row
+    if 0.0 < p < 1.0:
+        log_p, log_q = math.log(p), math.log1p(-p)
+        counts = path_counts(design.a1, design.n1, n)[lo - split : stop - split]
+        row += [
+            math.exp(math.log(c) + s * log_p + (n - s) * log_q)
+            for s, c in enumerate(counts, start=lo)
+        ]
+    else:
+        row += [0.0] * (stop - lo)
+        if p == 1.0 and stop == n + 1:
+            row[-1] = 1.0
+    return row
+
+
 def conditional_mle_scan_oracle(s, n, a1, n1, tol=1e-10):
     """The conditional MLE of the stage-2 outcome (s, n) of a design with
     stage-1 bound a1/n1: the log-likelihood evaluated afresh at each of 401

@@ -273,11 +273,23 @@ def test_sample_size_above_the_cap_is_invalid_input(capsys, monkeypatch, argv):
         monkeypatch.setattr(f"twostage.inference.{name}", never)
     # nor is any path-count row built, whichever module asks for it
     monkeypatch.setattr("twostage.design.path_counts", never)
-    monkeypatch.setattr("twostage.design._log_counts", never)
-    monkeypatch.setattr("twostage.design._pascal_row", never)
+    monkeypatch.setattr("twostage.design._prepared_row", never)
     status, _, err = run(capsys, *argv)
     assert status == 2
     assert err.startswith("INVALID_INPUT:") and "cap" in err
+
+
+@pytest.mark.parametrize("s", [4993, 4999])
+def test_estimates_at_the_longest_stage1_prefix_keep_their_pinned_json(capsys, s):
+    # a row at the cap whose stage-1 prefix is 4991 of its 5001 terms: the
+    # JSON text is the one pinned before the terminal row was prepared
+    status, out, err = run(
+        capsys, "estimate", "--design", "4990/4995,4998/5000", "--s", str(s), "--m", "5000",
+        "--format", "json",
+    )
+    path = os.path.join(os.path.dirname(__file__), "data", f"estimate_cap_s{s}.json")
+    with open(path, encoding="utf-8") as handle:
+        assert (status, out, err) == (0, handle.read(), "")
 
 
 def test_pvalue_requires_null_or_targets(capsys):
@@ -590,8 +602,21 @@ REPEATED_ARGV = [
     ids=lambda argv: " ".join("GOLDEN" if arg == GOLDEN else arg for arg in argv) or "no-args",
 )
 def test_main_prints_what_the_full_parse_prints(capsys, argv):
-    expected = _outcome_of(cli_main_full_parse, argv), *capsys.readouterr()
+    # a trailing "--" ends the options and names nothing: main prints what
+    # the full parse prints for the command without it
+    full_argv = argv[:-1] if argv[-1:] == ["--"] else argv
+    expected = _outcome_of(cli_main_full_parse, full_argv), *capsys.readouterr()
     assert (_outcome_of(main, argv), *capsys.readouterr()) == expected
+
+
+def test_a_trailing_double_dash_is_no_leftover(capsys):
+    # "--" ends the options; alone at the end it names nothing, so the
+    # command runs, while a flag after it is still a leftover
+    assert main(["estimate", *OUTCOME, "--"]) == 0
+    assert capsys.readouterr().out.startswith("naive")
+    for argv in (["estimate", *OUTCOME, "--", "--"], ["ci", *OUTCOME, "--", "--level", "0.9"]):
+        assert _outcome_of(main, argv) == 2
+        assert capsys.readouterr().err.startswith("USAGE: unrecognized arguments: --")
 
 
 def test_a_valid_command_is_parsed_once(capsys, monkeypatch):
@@ -632,15 +657,17 @@ def test_cli_import_builds_no_parser():
 
 
 def test_cli_import_builds_no_p_independent_table():
-    # the log-factorial table, the path-count rows and the inference caches,
-    # and the array module that stores some of their rows, are loaded on
-    # first use, so a command that never reads them does not pay for them
+    # the log-factorial and float tables, the prepared terminal rows and the
+    # inference caches, and the array module that stores some of their
+    # rows, are loaded on first use, so a command that never reads them
+    # does not pay for them
     code = (
         "import sys, twostage.cli\n"
         "from twostage import binomial as b, design as d, inference as i\n"
-        "caches = (b._log_factorials, i._mle_grid, i._log_continuation_row, i._umvue_ranks)\n"
+        "caches = (b._log_factorials, d._totals, i._mle_grid, i._log_continuation_row,\n"
+        "          i._umvue_ranks)\n"
         "rows = d._COUNT_ROWS\n"
         "print([c.cache_info().currsize for c in caches], len(rows.rows), rows.entries,\n"
         "      'array' in sys.modules)"
     )
-    assert _fresh_interpreter(code) == "[0, 0, 0, 0] 0 0 False"
+    assert _fresh_interpreter(code) == "[0, 0, 0, 0, 0] 0 0 False"

@@ -28,11 +28,12 @@ from oracles import (
     reject_matrix_oracle,
     reject_prob_oracle,
     reject_prob_retained_full_row,
+    terminal_pmf_two_builders,
     terminal_probs,
     ump_first_n,
 )
 import twostage.design as design_module
-from twostage.binomial import MAX_SAMPLE_SIZE, binom_pmf, binom_pmf_row
+from twostage.binomial import MAX_SAMPLE_SIZE, _log_factorials, binom_pmf, binom_pmf_row
 from twostage.design import (
     COUNT_ROW_BUDGET,
     DesignTargets,
@@ -42,10 +43,11 @@ from twostage.design import (
     _CountRows,
     _frontier,
     _head,
-    _log_counts,
     _np_lower_bound,
+    _prepared_row,
     _tables,
     _tail,
+    _totals,
     admissible_set,
     expected_sample_size,
     operating_characteristics,
@@ -177,7 +179,11 @@ def test_terminal_pmf_is_exact_at_p_0_and_1(a1, a, n1, n):
 def test_terminal_pmf_counts_beyond_the_float_range():
     # C(2000, 1000) is about 1e600; the kernel takes logs of exact counts
     design = TwoStageDesign(a1=300, a=900, n1=1000, n=2000)
-    assert max(_log_counts(300, 1000, 2000)) > math.log(sys.float_info.max)
+    counts = path_counts(300, 1000, 2000)
+    assert max(counts) > sys.float_info.max
+    exponents = _COUNT_ROWS.rows[(300, 1000, 2000)][1]
+    assert exponents[301:] == list(map(math.log, counts))
+    assert max(exponents) > math.log(sys.float_info.max)
     for p in (0.3, 0.5, 0.77):
         row = terminal_pmf(design, p)
         assert all(math.isfinite(x) for x in row)
@@ -185,91 +191,141 @@ def test_terminal_pmf_counts_beyond_the_float_range():
 
 
 def test_terminal_pmf_builds_one_count_row_per_design():
-    # the counts and their logs are one row of one store: the first
-    # evaluation builds both, every later one and path_counts read them
+    # the counts and the rest of the prepared row are one row of one store:
+    # the first evaluation builds it, every later one and path_counts read it
     design = TwoStageDesign(a1=4, a=15, n1=19, n=54)
     _COUNT_ROWS.clear()
     for k in range(1, 201):
         terminal_pmf(design, k / 201)
     assert (_COUNT_ROWS.misses, _COUNT_ROWS.hits) == (1, 199)
-    counts, logs = _COUNT_ROWS.rows[(4, 19, 54)]
+    counts, exponents, totals, rests = _COUNT_ROWS.rows[(4, 19, 54)]
     assert path_counts(4, 19, 54) is counts
-    assert _log_counts(4, 19, 54) is logs
-    assert (_COUNT_ROWS.misses, _COUNT_ROWS.hits) == (1, 201)
-    assert _COUNT_ROWS.entries == len(counts) == 54 - 4
+    assert (_COUNT_ROWS.misses, _COUNT_ROWS.hits) == (1, 200)
+    assert len(counts) == 54 - 4
+    # one entry a total s = 0..n, each counted against the budget
+    assert _COUNT_ROWS.entries == len(exponents) == len(rests) == 54 + 1
+    # the multipliers are the shared floats of _totals, not copies
+    assert totals is _totals()
+    assert all(f is totals[design.size_at(s) - s] for s, f in enumerate(rests))
+    assert rests == [float(design.size_at(s) - s) for s in range(55)]
 
 
 def row_bytes(row):
     return sys.getsizeof(row) + sum(map(sys.getsizeof, row))
 
 
+# the most bytes an entry of a prepared row holds: above a1 its count, an
+# int no larger than C(n, n / 2), in its tuple slot; for every s its
+# exponent, a float in a list slot, and a list slot for its multiplier of
+# log(1 - p), whose float is shared
+FLOAT_BYTES = sys.getsizeof(1.0)
+STAGE1_ENTRY = FLOAT_BYTES + 8 + 8
+ENTRY = sys.getsizeof(math.comb(MAX_SAMPLE_SIZE, MAX_SAMPLE_SIZE // 2)) + 8 + STAGE1_ENTRY
+
+
 def test_count_rows_at_the_cap_keep_their_stated_byte_bounds():
-    # each c_s is at most C(n, s), so no row at the cap outgrows the
-    # binomial coefficients of MAX_SAMPLE_SIZE: 2.6 MB. Each count is an int
-    # no larger than C(n, n / 2), so with its tuple slot and its log it
-    # takes at most 708 bytes, and the store's budget of counts at most
-    # 46.4 MB, under the 42 + 41 MB of the two row caches it replaced
+    # each c_s is at most C(n, s), so no row's counts at the cap outgrow the
+    # binomial coefficients of MAX_SAMPLE_SIZE: 2.6 MB. An entry takes at
+    # most 740 bytes, a stage-1 entry 40, and the store's budget of entries
+    # at most 48.5 MB, under the 42 + 41 MB of the two row caches it replaced
     n = MAX_SAMPLE_SIZE
     # C(n, s + 1) = C(n, s) (n - s) / (s + 1)
     binomial = accumulate(range(n), lambda c, s: c * (n - s) // (s + 1), initial=1)
     binomial_bytes = row_bytes(tuple(binomial))
     assert binomial_bytes <= 2.6e6
-    per_count = sys.getsizeof(math.comb(n, n // 2)) + 8 + 8
-    assert per_count <= 708
-    assert COUNT_ROW_BUDGET * per_count <= 46.4e6 < 42e6 + 41e6
+    assert (STAGE1_ENTRY, ENTRY) == (40, 740)
+    assert COUNT_ROW_BUDGET * ENTRY <= 48.5e6 < 42e6 + 41e6
     try:
-        counts = path_counts(10, 50, n)
+        counts, exponents, totals, rests = _COUNT_ROWS.get(10, 50, n)
         assert row_bytes(counts) <= binomial_bytes
-        assert max(map(sys.getsizeof, counts)) <= per_count - 16
-        logs = _log_counts(10, 50, n)
-        assert list(logs) == list(map(math.log, counts))
-        # 8 bytes a log, not over-allocated
-        assert sys.getsizeof(logs) <= 8 * len(counts) + 100
-        assert row_bytes(counts) + sys.getsizeof(logs) <= per_count * len(counts)
+        assert max(map(sys.getsizeof, counts)) <= ENTRY - STAGE1_ENTRY - 8
+        assert exponents[11:] == list(map(math.log, counts))
+        # one float a total, and no list over-allocated
+        assert max(map(sys.getsizeof, exponents)) == FLOAT_BYTES
+        for entries in (exponents, rests):
+            assert sys.getsizeof(entries) <= 8 * (n + 1) + 100
+        row = row_bytes(counts) + row_bytes(exponents) + sys.getsizeof(rests)
+        assert row <= ENTRY * (n + 1)
     finally:
         _COUNT_ROWS.clear()
 
 
+def test_the_longest_stage1_prefix_at_the_cap_keeps_its_entry_bound():
+    # a1 = n1 - 1 at the cap: 4999 stage-1 entries, which carry no count,
+    # and 2 counts of 1, an int that Python shares. The tables the row
+    # reads are built first, since every row shares them
+    _log_factorials()
+    _totals()
+    _COUNT_ROWS.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        path_counts(4998, 4999, MAX_SAMPLE_SIZE)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        _COUNT_ROWS.clear()
+    assert grown <= STAGE1_ENTRY * 4999 + (STAGE1_ENTRY + 8) * 2 + 600
+
+
+def budget_rows():
+    """The number of rows the budget can hold at most: a final size n has
+    n (n - 1) / 2 designs, each with a row of n + 1 entries, and the most
+    rows fit when they are the shortest."""
+    rows = entries = 0
+    for n in range(2, MAX_SAMPLE_SIZE + 1):
+        fit = min(n * (n - 1) // 2, (COUNT_ROW_BUDGET - entries) // (n + 1))
+        rows, entries = rows + fit, entries + fit * (n + 1)
+        if fit < n * (n - 1) // 2:
+            return rows
+    return rows
+
+
 def test_short_count_rows_keep_their_stated_overhead():
-    # a row has at least 2 counts and adds under 400 bytes of containers
-    # and key, so rows of 2 counts at the cap, the most rows the budget
-    # holds, keep the store under 60 MB. These counts are 1, an int that
-    # Python shares, so each takes its 8-byte tuple slot and its log 8 more
-    keys = [(n - 2, n - 1, n) for n in range(MAX_SAMPLE_SIZE - 199, MAX_SAMPLE_SIZE + 1)]
+    # a row adds under 600 bytes of containers and key to its entries, and
+    # the budget holds at most 3,100 rows, so the store stays under 51 MB.
+    # Every design with n <= 13, whose counts are ints that Python shares
+    keys = [(a1, n1, n) for n in range(2, 14) for n1 in range(1, n) for a1 in range(n1)]
+    _totals()
     _COUNT_ROWS.clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for key in keys:
             path_counts(*key)
-        per_row = (tracemalloc.get_traced_memory()[0] - before) / len(keys)
+        grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
         _COUNT_ROWS.clear()
-    assert per_row - 2 * (8 + 8) < 400
-    assert COUNT_ROW_BUDGET * 708 + COUNT_ROW_BUDGET // 2 * 400 < 60e6
+    entries = sum(n + 1 for _, _, n in keys)
+    counts = sum(n - a1 for a1, _, n in keys)
+    per_row = (grown - STAGE1_ENTRY * entries - 8 * counts) / len(keys)
+    assert per_row < 600
+    assert budget_rows() <= 3100
+    assert COUNT_ROW_BUDGET * ENTRY + 3100 * 600 < 51e6
 
 
 def test_count_rows_past_the_budget_evict_the_least_recently_used(monkeypatch):
-    store = _CountRows(budget=28)
+    # a row counts n + 1 entries, one a total s, whatever its a1
+    store = _CountRows(budget=40)
     monkeypatch.setattr("twostage.design._COUNT_ROWS", store)
-    cap = (MAX_SAMPLE_SIZE - 4, MAX_SAMPLE_SIZE - 2, MAX_SAMPLE_SIZE)  # 4 counts
-    first, second, third = (2, 10, 14), (3, 11, 15), (1, 8, 12)  # 12 counts each
+    short = (0, 1, 3)  # 4 entries
+    first, second, third = (2, 10, 14), (3, 11, 15), (1, 8, 12)  # 15, 16, 13 entries
     history = []
-    for key in (first, second, cap, first, third, cap, second):
+    for key in (first, second, short, first, third, short, second):
         assert list(path_counts(*key)) == _paths(*key)[key[0] + 1 :]
         history.append(list(store.rows))
-        assert store.entries == sum(len(row[0]) for row in store.rows.values()) <= 28
+        assert store.entries == sum(len(row[1]) for row in store.rows.values()) <= 40
     assert history == [
         [first],
         [first, second],
-        [first, second, cap],
+        [first, second, short],
         # a hit moves the row to the most recently used end
-        [second, cap, first],
-        # 12 + 4 + 12 + 12 > 28: the least recently used row goes
-        [cap, first, third],
-        [first, third, cap],
-        [third, cap, second],
+        [second, short, first],
+        # 16 + 4 + 15 + 13 > 40: the least recently used row goes
+        [short, first, third],
+        [first, third, short],
+        [third, short, second],
     ]
     assert (store.misses, store.hits) == (5, 2)
 
@@ -321,26 +377,59 @@ def test_tails_from_a_slice_equal_the_full_row_sums(design):
             )
 
 
-def test_a_stage2_q_value_builds_only_its_suffix(monkeypatch):
-    # stage-1 terms come from binom_pmf_row, stage-2 terms each take one exp
-    design = TwoStageDesign(a1=4, a=15, n1=19, n=54)
-    stage1, stage2 = [], []
-    pmf_row = design_module.binom_pmf_row
+TWO_BUILDER_PS = [0.0, 5e-324, 1e-300, 1e-4, 0.3, 0.77, 1.0 - 2.0**-53, 1.0]
 
-    def counted_row(*args):
-        row = pmf_row(*args)
-        stage1.append(len(row))
-        return row
+
+@pytest.mark.parametrize("design", slice_designs(), ids=lambda d: d.compact())
+def test_terminal_pmf_equals_the_two_builder_row_on_every_slice(design):
+    # each term runs the float operations of the stage it belongs to, in
+    # their order, so every slice equals the two builders' bit for bit
+    n = design.n
+    for p in TWO_BUILDER_PS:
+        for start in range(n + 3):
+            assert terminal_pmf(design, p, start) == terminal_pmf_two_builders(design, p, start)
+            for stop in range(n + 2):
+                want = terminal_pmf_two_builders(design, p, start, stop)
+                assert terminal_pmf(design, p, start, stop) == want, (p, start, stop)
+
+
+def test_terminal_pmf_equals_the_two_builder_row_at_the_cap():
+    # a1 = n1 - 1 at the cap: the longest stage-1 prefix, 4999 terms, then
+    # the two stage-2 totals
+    design = TwoStageDesign(a1=4998, a=4999, n1=4999, n=MAX_SAMPLE_SIZE)
+    n, split = design.n, design.a1 + 1
+    bounds = [0, 1, 2, split - 2, split - 1, split, split + 1, n, n + 1]
+    try:
+        for p in TWO_BUILDER_PS:
+            assert terminal_pmf(design, p) == terminal_pmf_two_builders(design, p)
+            for start in bounds:
+                for stop in bounds:
+                    want = terminal_pmf_two_builders(design, p, start, stop)
+                    assert terminal_pmf(design, p, start, stop) == want, (p, start, stop)
+    finally:
+        _COUNT_ROWS.clear()
+
+
+def test_a_stage2_q_value_builds_only_its_suffix(monkeypatch):
+    # every term takes one exp, whose argument names the total it builds:
+    # e_s + s log p + (size_at(s) - s) log(1 - p), all distinct here
+    design = TwoStageDesign(a1=4, a=15, n1=19, n=54)
+    p, built = 0.3, []
+    _, exponents, totals, rests = _prepared_row(4, 19, 54)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    total_of = {
+        c + s * log_p + f * log_q: int(s) for c, s, f in zip(exponents, totals, rests)
+    }
+    assert len(total_of) == 55
 
     class CountingMath:
         def __getattr__(self, name):
             return getattr(math, name)
 
         def exp(self, x):
-            stage2.append(x)
+            built.append(total_of[x])
             return math.exp(x)
 
-    monkeypatch.setattr(design_module, "binom_pmf_row", counted_row)
     monkeypatch.setattr(design_module, "math", CountingMath())
     # (function, s, m, stage-1 terms, stage-2 terms): a stage-2 q_value at s
     # builds n - s + 1 terms, all at stage 2
@@ -353,14 +442,15 @@ def test_a_stage2_q_value_builds_only_its_suffix(monkeypatch):
         (q_lower_value, 30, 54, 5, 26),
     ]
     for function, s, m, *want in cases:
-        stage1.clear()
-        stage2.clear()
-        function(s, m, 0.3, design)
-        assert [sum(stage1), len(stage2)] == want, (function.__name__, s)
-    stage1.clear()
-    stage2.clear()
-    reject_prob(0.3, design)
-    assert [sum(stage1), len(stage2)] == [0, 54 - 15]
+        built.clear()
+        function(s, m, p, design)
+        stage1 = sum(1 for total in built if total <= design.a1)
+        assert [stage1, len(built) - stage1] == want, (function.__name__, s)
+        # each term once, and only the slice's
+        assert built == (list(range(s, 55)) if function is q_value else list(range(s + 1)))
+    built.clear()
+    reject_prob(p, design)
+    assert built == list(range(16, 55))
 
 
 def test_terminal_pmf_rejects_a_final_size_above_the_cap():

@@ -344,6 +344,19 @@ def test_log_continuation_prob_is_the_log_of_the_tail_otherwise():
         assert inference._log_continuation_prob(p, a1, n1) == math.log(tail)
 
 
+def test_log_continuation_row_leaves_the_tail_cache_alone():
+    # the 401 scan tails are binom_upper_tail's sum, uncached: the row
+    # holds the values the cached path gives, and the scalar cache gains
+    # none of them, also where the tail underflows (27/30)
+    for a1, n1 in [(5, 15), (0, 5), (27, 30), (13, 40)]:
+        inference._log_continuation_row.cache_clear()
+        before = binom_upper_tail.cache_info().currsize
+        row = inference._log_continuation_row(a1, n1)
+        assert binom_upper_tail.cache_info().currsize == before
+        grid = inference._mle_grid()[0]
+        assert list(row) == [inference._log_continuation_prob(x, a1, n1) for x in grid]
+
+
 @pytest.mark.parametrize(
     "text, totals",
     [("30/60, 40/100", [32, 50, 75, 99]), ("28/30, 35/40", range(30, 40))],
@@ -781,7 +794,7 @@ def test_midp_tail_of_the_nonzero_runs_is_the_full_weighted_row(design):
 
 
 def test_exact_estimates_after_terminal_pmf_build_no_second_row():
-    # the UMVUE and UMVCUE read the counts that terminal_pmf's logs came with
+    # the UMVUE and UMVCUE read the counts of terminal_pmf's prepared row
     design = TwoStageDesign.from_compact("4/19,15/54")
     _COUNT_ROWS.clear()
     terminal_pmf(design, 0.3)
