@@ -14,10 +14,10 @@ import math
 import re
 from dataclasses import dataclass
 from collections import OrderedDict
-from functools import lru_cache, reduce
-from itertools import accumulate, repeat
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, chain, repeat
 from operator import add, mul
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .binomial import MAX_SAMPLE_SIZE, _check_trial, _log_factorials, binom_cdf, binom_pmf_row
 
@@ -162,15 +162,11 @@ def terminal_pmf(
     slice of it from total start up to, not including, stop.
 
     ``row[s]`` is P(the trial ends with s total successes) for s = 0..n,
-    which it does at sample size TwoStageDesign.size_at(s). Rejection
-    probabilities, q-values, interval tails, bias and coverage are all
-    prefixes, suffixes or weighted sums of this one row. A trial analysed
-    at a realised final size m passes design.with_final_n(m).
-
-    The slice follows binom_pmf_row: 0 <= start and stop <= n + 1, with
-    stop defaulting to n + 1, and it returns terminal_pmf(design, p)[start:stop]
-    term for term. Only the terms in the slice are built, so a suffix or a
-    prefix sum costs one exp per term it reads.
+    which it does at sample size TwoStageDesign.size_at(s). Every tail and
+    expectation over it is a RowSum. A trial analysed at a realised final
+    size m passes design.with_final_n(m). The slice follows binom_pmf_row:
+    0 <= start and stop <= n + 1, with stop defaulting to n + 1, and only
+    its terms are built, one exp each.
 
     Every term is exp(e_s + s log p + (size_at(s) - s) log(1 - p)), read
     from the design's prepared row (_prepared_row): e_s is log C(n1, s) as
@@ -195,6 +191,46 @@ def terminal_pmf(
         exp(c + s * log_p + f * log_q)
         for c, s, f in zip(exponents[start:stop], totals[start:stop], rests[start:stop])
     ]
+
+
+class RowSum(NamedTuple):
+    """The weighted sum of runs of one probability row, a function of p.
+
+    ``row(p, start, stop)`` returns the row's terms start..stop - 1 at p:
+    terminal_pmf bound to a design, or binom_pmf_row bound to a sample
+    size. A run (start, stop, weights) adds those terms, each times its
+    weight, or as they are where weights is None. A capped sum, a tail, is
+    clamped to 1.0; an expectation is not. Calling the sum at p builds only
+    the terms of its runs; ``on(row)`` reads them from the whole row at p.
+
+    Every tail, expectation and interval equation of the package is one
+    RowSum. fsum rounds the exact sum of its terms once, and a weight of
+    1.0 leaves a term unchanged, so a sum gives the same float whatever the
+    order of its terms, the zero terms left out or its split into runs.
+    """
+
+    row: Callable[[float, int, int], list[float]]
+    runs: Sequence[tuple[int, int, Optional[Sequence[float]]]]
+    capped: bool = False
+
+    def __call__(self, p: float) -> float:
+        row, runs = self.row, self.runs
+        if len(runs) == 1:
+            # one run, the common case: its terms go to fsum unchained
+            ((start, stop, weights),) = runs
+            terms = row(p, start, stop)
+            products = terms if weights is None else map(mul, weights, terms)
+        else:
+            slices = [(row(p, start, stop), weights) for start, stop, weights in runs]
+            products = chain.from_iterable(
+                [terms if w is None else map(mul, w, terms) for terms, w in slices]
+            )
+        total = math.fsum(products)
+        return min(1.0, total) if self.capped else total
+
+    def on(self, row: Sequence[float]) -> float:
+        # the same sum, its runs sliced from the built row, which fixes p
+        return self._replace(row=lambda p, start, stop: row[start:stop])(math.nan)
 
 
 # Largest number of row entries _COUNT_ROWS keeps, summed over its rows.
@@ -294,14 +330,6 @@ def path_counts(a1: int, n1: int, n_final: int) -> tuple[int, ...]:
     return _COUNT_ROWS.get(a1, n1, n_final)[0]
 
 
-def terminal_tail(design: TwoStageDesign, p: float, s: int) -> float:
-    """P(the trial ends at or above total s in the stagewise order) under
-    p: the suffix of terminal_pmf's row from s, of which only these terms
-    are built; for s > a1, P(continue and end with at least s total
-    successes)."""
-    return min(1.0, math.fsum(terminal_pmf(design, p, s)))
-
-
 def terminal_distribution(s: int, stage: int, p: float, design: TwoStageDesign) -> float:
     """Probability of ending the given stage with exactly s total successes.
 
@@ -339,7 +367,7 @@ def reject_prob(p: float, design: TwoStageDesign) -> float:
     a boundary p-value against the attained type-I error never splits on a
     rounding difference.
     """
-    return terminal_tail(design, p, design.a + 1)
+    return RowSum(partial(terminal_pmf, design), ((design.a + 1, design.n + 1, None),), True)(p)
 
 
 def operating_characteristics(

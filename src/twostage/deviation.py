@@ -10,12 +10,14 @@ interpretations of trial results.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .binomial import binom_pmf, binom_upper_tail
-from .design import TwoStageDesign, terminal_pmf, terminal_tail
-from .inference import AnalysisState
+from .design import RowSum, TwoStageDesign, terminal_pmf
+from .inference import AnalysisState, _naive_row
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,8 @@ def ek_reject(analysis: DeviatedAnalysis) -> bool:
 
 def reject_prob_retained(p: float, design: TwoStageDesign, n_an: int) -> float:
     """Rejection probability when the planned bound a is kept at n_an."""
-    return terminal_tail(design.with_final_n(n_an), p, design.a + 1)
+    row = partial(terminal_pmf, design.with_final_n(n_an))
+    return RowSum(row, ((design.a + 1, n_an + 1, None),), True)(p)
 
 
 def reject_prob_ek(p: float, design: TwoStageDesign, n_an: int) -> float:
@@ -85,8 +88,7 @@ def reject_prob_ek(p: float, design: TwoStageDesign, n_an: int) -> float:
     falls; an s2 whose p-value exceeded it at s1 exceeds it below s1. One
     pointer c therefore walks s2 once while s1 walks down from n1, and a
     call takes at most n1 + n2 + 2 p-values. Once the error is 0 or c
-    passes n2, no lower s1 adds a nonzero term. fsum does not depend on
-    the order of its terms.
+    passes n2, no lower s1 adds a nonzero term.
     """
     p0 = _p0_of(design)
     n1 = design.n1
@@ -133,18 +135,19 @@ def interpretation_probabilities(
         p0 = design.targets.p0 if p0 is None else p0
         p1 = design.targets.p1 if p1 is None else p1
 
-    # the naive estimate of the outcome with total s
-    naive = [s / analysed.size_at(s) for s in range(analysed.n + 1)]
-
-    def prob(indicator, row: list[float]) -> float:
-        return min(1.0, math.fsum(pr for est, pr in zip(naive, row) if indicator(est)))
-
-    above_p0 = lambda est: est > p0
-    at_least_p1 = lambda est: est >= p1
+    # the naive estimate rises with s within each stage, so the outcomes
+    # whose estimate lies above a bound are a suffix of each stage's totals
+    naive = _naive_row(analysed)
+    stages = ((0, analysed.a1 + 1), (analysed.a1 + 1, analysed.n + 1))
+    row = partial(terminal_pmf, analysed)
+    above_p0, at_least_p1 = (
+        RowSum(row, [(first(naive, bound, lo, hi), hi, None) for lo, hi in stages], True)
+        for first, bound in ((bisect_right, p0), (bisect_left, p1))
+    )
     at_p0, at_p1 = terminal_pmf(analysed, p0), terminal_pmf(analysed, p1)
     return InterpretationProbabilities(
-        naive_above_p0_at_p0=prob(above_p0, at_p0),
-        naive_above_p0_at_p1=prob(above_p0, at_p1),
-        naive_at_least_p1_at_p0=prob(at_least_p1, at_p0),
-        naive_at_least_p1_at_p1=prob(at_least_p1, at_p1),
+        naive_above_p0_at_p0=above_p0.on(at_p0),
+        naive_above_p0_at_p1=above_p0.on(at_p1),
+        naive_at_least_p1_at_p0=at_least_p1.on(at_p0),
+        naive_at_least_p1_at_p1=at_least_p1.on(at_p1),
     )

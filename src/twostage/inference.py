@@ -16,26 +16,24 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import accumulate, chain, groupby, islice
+from functools import cached_property, lru_cache, partial
+from itertools import accumulate, islice
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .binomial import (
-    RootResult,
     _log_factorials,
-    binom_cdf,
     binom_pmf_row,
     binom_upper_tail,
     normal_quantile,
     solve_monotone_root,
 )
-from .design import TwoStageDesign, path_counts, terminal_pmf, terminal_tail
+from .design import RowSum, TwoStageDesign, path_counts, terminal_pmf
 
 ROOT_TOL = 1e-10
 
-# f(p) = target for a sum f monotone in p: the equation whose root is an
-# estimate or an interval limit
+# f(p) = target for a sum f monotone in p, a RowSum but for the conditional
+# score: the equation whose root is an estimate or an interval limit
 Equation = tuple[Callable[[float], float], float]
 
 
@@ -145,33 +143,28 @@ def estimate_naive(s: int, m: int) -> float:
     return s / m
 
 
-def _expectation(values: Iterable[float], design: TwoStageDesign, p: float) -> float:
-    """Sum of values[s] * P(the trial ends with total s) over s = 0..n
-    under p.
-
-    ``values`` is indexed by the total s and depends only on the outcome,
-    so a root solve builds it once and each evaluation costs one
-    terminal_pmf call. fsum rounds the exact sum of the products once, so
-    the result does not depend on their order.
-    """
-    return math.fsum(map(mul, values, terminal_pmf(design, p)))
-
-
 def _naive_row(design: TwoStageDesign) -> list[float]:
     """The sample proportion of every terminal outcome, indexed by total s."""
     return [s / design.size_at(s) for s in range(design.n + 1)]
 
 
+def _estimator_mean(estimator: str, design: TwoStageDesign) -> RowSum:
+    """E_p of the named point-estimation procedure ("naive", "umvue" or
+    "umvcue") as a function of p. The estimates depend only on the outcome,
+    so a root solve builds them once."""
+    if estimator == "naive":
+        values = _naive_row(design)
+    elif estimator in _EXACT:
+        values = list(map(float, _exact_row(estimator, design)))
+    else:
+        raise ValueError(f"unknown estimator {estimator!r}; choose from naive, umvue, umvcue")
+    return RowSum(partial(terminal_pmf, design), ((0, design.n + 1, values),))
+
+
 def estimator_bias(estimator: str, p: float, design: TwoStageDesign) -> tuple[float, float]:
     """Expected value and bias of the named point-estimation procedure
     ("naive", "umvue" or "umvcue")."""
-    if estimator == "naive":
-        values: Iterable[float] = _naive_row(design)
-    elif estimator in _EXACT:
-        values = map(float, _exact_row(estimator, design))
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}; choose from naive, umvue, umvcue")
-    expected = _expectation(values, design, p)
+    expected = _estimator_mean(estimator, design)(p)
     return expected, expected - p
 
 
@@ -187,10 +180,7 @@ def estimate_bias_subtracted(state: AnalysisState) -> Estimate:
 
 def _bias_adjusted_equation(state: AnalysisState) -> Equation:
     """E_p[naive] = naive: the expected naive estimate rises with p."""
-    d = state.analysis_design
-    naive = estimate_naive(state.s, state.m)
-    values = _naive_row(d)
-    return (lambda p: _expectation(values, d, p)), naive
+    return _estimator_mean("naive", state.analysis_design), estimate_naive(state.s, state.m)
 
 
 def estimate_bias_adjusted(state: AnalysisState) -> Estimate:
@@ -259,11 +249,11 @@ def _log_continuation_prob(
     p: float, a1: int, n1: int, upper_tail: Callable[[int, int, float], float] = binom_upper_tail
 ) -> float:
     """log P(X1 > a1) for X1 ~ Bin(n1, p), 0 < p <= 1, from upper_tail,
-    binom_upper_tail or its uncached sum. Where the tail underflows to 0.0
+    binom_upper_tail or its uncached sum. Where the tail is subnormal or 0.0
     (a1 near n1 and p near 0), its log is summed from the log-space pmf
-    terms instead, so the log-likelihood stays finite."""
+    terms instead, so the log-likelihood stays finite and accurate."""
     tail = upper_tail(a1 + 1, n1, p)
-    if tail > 0.0:
+    if tail >= sys.float_info.min:
         return math.log(tail)
     lf, log_p, log_q = _log_factorials(), math.log(p), math.log1p(-p)
     terms = [
@@ -409,34 +399,37 @@ def _check_outcome(s: int, m: int, d: TwoStageDesign) -> None:
         raise ValueError(f"(s={s}, m={m}) is not a stage-2 terminal outcome of the design")
 
 
+def _q_sums(s: int, m: int, design: TwoStageDesign) -> tuple[RowSum, RowSum]:
+    """q_value and q_lower_value of the terminal outcome (s, m) as functions
+    of p: the suffix of terminal_pmf's row from s and its prefix up to s."""
+    _check_outcome(s, m, design)
+    row = partial(terminal_pmf, design)
+    return RowSum(row, ((s, design.n + 1, None),), True), RowSum(row, ((0, s + 1, None),), True)
+
+
 def q_value(s: int, m: int, p: float, design: TwoStageDesign) -> float:
-    """Stagewise-ordering tail probability of the terminal outcome (s, m):
-    the suffix of terminal_pmf's row from s, the only terms it builds.
+    """Stagewise-ordering tail probability of the terminal outcome (s, m).
 
     At m = n1 this is P(at least s stage-1 successes); at the final sample
     size it sums over continuation paths whose total reaches at least s.
     """
-    _check_outcome(s, m, design)
-    return terminal_tail(design, p, s)
+    return _q_sums(s, m, design)[0](p)
 
 
 def q_lower_value(s: int, m: int, p: float, design: TwoStageDesign) -> float:
-    """Probability of an outcome at or below (s, m) in the stagewise order:
-    the prefix of terminal_pmf's row up to s, the only terms it builds.
+    """Probability of an outcome at or below (s, m) in the stagewise order.
 
     Complements q_value but includes the observed outcome, so the two sum
     to 1 plus the outcome's own probability.
     """
-    _check_outcome(s, m, design)
-    return min(1.0, math.fsum(terminal_pmf(design, p, 0, s + 1)))
+    return _q_sums(s, m, design)[1](p)
 
 
 def _median_unbiased_equation(state: AnalysisState) -> Optional[Equation]:
     """q_value = 0.5; None at s = 0, where q is identically 1."""
     if state.s == 0:
         return None
-    d = state.analysis_design
-    return (lambda p: q_value(state.s, state.m, p, d)), 0.5
+    return _q_sums(state.s, state.m, state.analysis_design)[0], 0.5
 
 
 def estimate_median_unbiased(state: AnalysisState) -> Estimate:
@@ -515,16 +508,20 @@ def _jt_equations(
     s: int, m: int, design: TwoStageDesign, half: float
 ) -> tuple[Equation, Equation]:
     """q_value = alpha/2 for the lower limit and q_lower_value = alpha/2 for
-    the upper; q_value falls and q_lower_value rises with p."""
-    return (
-        ((lambda p: q_value(s, m, p, design)), half),
-        ((lambda p: q_lower_value(s, m, p, design)), half),
-    )
+    the upper; q_value rises and q_lower_value falls with p."""
+    upper, lower = _q_sums(s, m, design)
+    return (upper, half), (lower, half)
 
 
-def _solve(equations: Iterable[Equation]) -> Iterator[RootResult]:
-    """solve_monotone_root at ROOT_TOL of each equation, in order."""
-    return (solve_monotone_root(*equation, tol=ROOT_TOL) for equation in equations)
+def _solve_interval(
+    equations: tuple[Equation, Equation], level: float, method: str
+) -> ConfidenceInterval:
+    """The interval whose limits solve the equations at ROOT_TOL; a limit
+    whose target its sum never reaches is the boundary on its side."""
+    low, upp = (solve_monotone_root(*equation, tol=ROOT_TOL) for equation in equations)
+    low_val = 0.0 if low.out_of_bracket else low.value
+    upp_val = 1.0 if upp.out_of_bracket else upp.value
+    return ConfidenceInterval(low=low_val, upp=upp_val, level=level, method=method)
 
 
 def ci_jennison_turnbull(state: AnalysisState, level: float = 0.95) -> ConfidenceInterval:
@@ -538,10 +535,7 @@ def ci_jennison_turnbull(state: AnalysisState, level: float = 0.95) -> Confidenc
     limits with roots of q alone does not.
     """
     half = _check_level(level) / 2.0
-    low, upp = _solve(_jt_equations(state.s, state.m, state.analysis_design, half))
-    low_val = 0.0 if low.out_of_bracket else low.value
-    upp_val = 1.0 if upp.out_of_bracket else upp.value
-    return ConfidenceInterval(low=low_val, upp=upp_val, level=level, method="JT")
+    return _solve_interval(_jt_equations(state.s, state.m, state.analysis_design, half), level, "JT")
 
 
 @lru_cache(maxsize=1024)
@@ -561,53 +555,28 @@ def _umvue_ranks(a1: int, n1: int, n: int) -> Sequence[int]:
     return array("H", [rank[value] for value in estimates])
 
 
-def _midp_weights(ranks: Sequence[int], observed: int) -> list[float]:
-    """Weight of each outcome in the mid-p tail of the outcome with UMVUE
-    rank ``observed``: 1 above it, 1/2 at it and 0 below it."""
-    return [0.0 if r < observed else 0.5 if r == observed else 1.0 for r in ranks]
-
-
-def _nonzero_runs(weights: Sequence[float]) -> list[tuple[int, int, Sequence[float]]]:
-    """(start, stop, weights[start:stop]) for each maximal run of totals
-    whose weight is not 0."""
-    runs, start = [], 0
-    for nonzero, group in groupby(weights, bool):
-        stop = start + len(list(group))
-        if nonzero:
-            runs.append((start, stop, weights[start:stop]))
-        start = stop
-    return runs
-
-
 def _midp_equations(s: int, design: TwoStageDesign, half: float) -> tuple[Equation, Equation]:
     """The mid-p tail of the outcome with total s = alpha/2 for the lower
     limit and 1 - alpha/2 for the upper; the tail rises with p.
 
-    The tail builds only the terms of the terminal row whose weight is not
-    0: as the UMVUE rises with s within each stage, these are at most two
-    runs of totals, one per stage. fsum does not depend on the order or on
-    the zeros of its terms, so the tail is the full weighted sum."""
+    Each outcome weighs 1 above the observed UMVUE rank, 1/2 at it and 0
+    below it. The UMVUE rises with s within each stage, so the outcomes of
+    nonzero weight are a suffix of each stage's totals."""
     ranks = _umvue_ranks(design.a1, design.n1, design.n)
-    runs = _nonzero_runs(_midp_weights(ranks, ranks[s]))
-
-    def tail(p: float) -> float:
-        return math.fsum(
-            chain.from_iterable(
-                map(mul, weights, terminal_pmf(design, p, start, stop))
-                for start, stop, weights in runs
-            )
-        )
-
+    observed = ranks[s]
+    runs = []
+    for lo, hi in ((0, design.a1 + 1), (design.a1 + 1, design.n + 1)):
+        start = bisect_left(ranks, observed, lo, hi)
+        if start < hi:
+            runs.append((start, hi, [0.5 if r == observed else 1.0 for r in ranks[start:hi]]))
+    tail = RowSum(partial(terminal_pmf, design), runs)
     return (tail, half), (tail, 1.0 - half)
 
 
 def ci_midp(state: AnalysisState, level: float = 0.95) -> ConfidenceInterval:
     """Mid-p interval under the UMVUE ordering of terminal outcomes."""
     half = _check_level(level) / 2.0
-    low, upp = _solve(_midp_equations(state.s, state.analysis_design, half))
-    low_val = 0.0 if low.out_of_bracket else low.value
-    upp_val = 1.0 if upp.out_of_bracket else upp.value
-    return ConfidenceInterval(low=low_val, upp=upp_val, level=level, method="midp")
+    return _solve_interval(_midp_equations(state.s, state.analysis_design, half), level, "midp")
 
 
 @lru_cache(maxsize=1 << 14)
@@ -624,8 +593,8 @@ def ci_clopper_pearson(s: int, m: int, level: float = 0.95) -> ConfidenceInterva
         return ConfidenceInterval(0.0, 1.0 - half ** (1.0 / m), level, "CP")
     if s == m:
         return ConfidenceInterval(half ** (1.0 / m), 1.0, level, "CP")
-    low, upp = _solve(_cp_equations(s, m, half))
-    return ConfidenceInterval(low.value, upp.value, level, "CP")
+    # 0 < s < m: each tail runs from 0 to 1, so both targets are bracketed
+    return _solve_interval(_cp_equations(s, m, half), level, "CP")
 
 
 def _cp_equations(s: int, m: int, half: float) -> Optional[tuple[Equation, Equation]]:
@@ -635,10 +604,9 @@ def _cp_equations(s: int, m: int, half: float) -> Optional[tuple[Equation, Equat
     forms."""
     if s in (0, m):
         return None
-    return (
-        ((lambda p: binom_upper_tail(s, m, p)), half),
-        ((lambda p: binom_cdf(s, m, p)), half),
-    )
+    row = partial(binom_pmf_row, m)
+    upper, lower = RowSum(row, ((s, m + 1, None),), True), RowSum(row, ((0, s + 1, None),), True)
+    return (upper, half), (lower, half)
 
 
 def ci_wald(s: int, m: int, level: float = 0.95) -> ConfidenceInterval:
@@ -736,26 +704,32 @@ def coverage(method: str, p: float, design: TwoStageDesign, level: float = 0.95)
     Interval membership uses closed endpoints.
 
     JT, mid-p and CP coverage is found by test inversion, with no root
-    solve: an interval contains p exactly when the tails at p clear the
-    thresholds its limits were solved for. These are alpha/2 for each JT
-    tail (q_value and q_lower_value, a suffix and a prefix of the terminal
-    row at p), alpha/2 and 1 - alpha/2 for the mid-p tail, and alpha/2 for
-    each Bin(m, p) tail of CP at 0 < s < m. The outcomes that pass form a
-    window in s (in UMVUE rank for mid-p, and one window per stage for CP),
-    whose ends a binary search finds with O(log n) fsums. This agrees with
-    the limits of interval_for_outcome except where p lies within ROOT_TOL
-    of a solved limit, and there it is the exact answer. CP at s = 0 and
-    s = n reads its closed-form limits from ci_clopper_pearson. Wald and
-    Wilson, both closed forms, check the interval of every outcome.
+    solve: an interval contains p exactly when the sums of its equations
+    (interval_equations) on the row at p clear the targets its limits were
+    solved for. The outcomes that pass form a window in s (in UMVUE rank for
+    mid-p, and one per stage for CP), whose ends a binary search finds. This
+    agrees with interval_for_outcome except where p lies within ROOT_TOL of
+    a solved limit, and there it is the exact answer. CP at s = 0 and s = n,
+    Wald and Wilson check their closed-form intervals.
     """
     name = _ci_method(method)
     row = terminal_pmf(design, p)
+    half = _check_level(level) / 2.0
     if name == "JT":
-        covered: Iterable[int] = _tail_window(row, 0, len(row), _check_level(level) / 2.0)
+        covered: Iterable[int] = _tail_window(
+            row, 0, len(row), lambda k: _jt_equations(k, design.size_at(k), design, half)
+        )
     elif name == "midp":
-        covered = _midp_covered(row, design, _check_level(level) / 2.0)
+        # the mid-p tail falls as the observed UMVUE rank rises, and outcomes
+        # of equal rank share it, so in rank order the outcomes with
+        # alpha/2 <= tail <= 1 - alpha/2 form a window
+        ranks = _umvue_ranks(design.a1, design.n1, design.n)
+        order = sorted(range(len(row)), key=ranks.__getitem__)
+        tail = lambda i: _midp_equations(order[i], design, half)[0][0].on(row)
+        window = _window(0, len(order), lambda i: tail(i) <= 1.0 - half, lambda i: tail(i) < half)
+        covered = order[window.start : window.stop]
     elif name == "CP":
-        covered = _cp_covered(p, design, level)
+        covered = _cp_covered(p, design, level, half)
     else:
         covered = (
             s
@@ -774,50 +748,27 @@ def _window(
     return range(start, bisect_left(range(hi), True, start, hi, key=passed))
 
 
-def _tail_window(row: list[float], lo: int, hi: int, half: float) -> range:
-    """The k in range(lo, hi) whose prefix row[:k + 1] and suffix row[k:]
-    each sum to at least half. The prefix sum rises with k and the suffix
-    sum falls. As half < 1, these are the comparisons of q_lower_value and
-    q_value with half for a terminal row, and of binom_cdf and
-    binom_upper_tail for a Bin(m, p) row and 0 < k < m."""
-    return _window(
-        lo,
-        hi,
-        lambda k: math.fsum(row[: k + 1]) >= half,
-        lambda k: math.fsum(row[k:]) < half,
-    )
+def _tail_window(
+    row: list[float], lo: int, hi: int, equations: Callable[[int], tuple[Equation, Equation]]
+) -> range:
+    """The k in range(lo, hi) whose interval contains p, for the row at p and
+    the JT or CP equations of each k: a tail that rises with p for the lower
+    limit and one that falls for the upper, each at or above its target at p.
+    As k grows, the first tail falls and the second rises."""
+
+    def cleared(k: int, limit: int) -> bool:
+        f, target = equations(k)[limit]
+        return f.on(row) >= target
+
+    return _window(lo, hi, lambda k: cleared(k, 1), lambda k: not cleared(k, 0))
 
 
-def _midp_covered(row: list[float], design: TwoStageDesign, half: float) -> list[int]:
-    """Totals whose mid-p interval contains p, for the terminal row at p.
-    The tail that ci_midp solves falls as the observed UMVUE rank rises, so
-    the ranks with alpha/2 <= tail <= 1 - alpha/2 form a window.
-
-    The row's terms are grouped by rank once. The tail at rank r is the
-    fsum of half the terms of rank r and all the terms above it, the
-    nonzero products of ci_midp's weights: a suffix of the groups."""
-    ranks = _umvue_ranks(design.a1, design.n1, design.n)
-    groups: list[list[float]] = [[] for _ in range(max(ranks) + 1)]
-    for r, term in zip(ranks, row):
-        groups[r].append(term)
-
-    def tail(r: int) -> float:
-        halves = [0.5 * term for term in groups[r]]
-        return math.fsum(chain(halves, chain.from_iterable(groups[r + 1 :])))
-
-    window = _window(0, len(groups), lambda r: tail(r) <= 1.0 - half, lambda r: tail(r) < half)
-    return [s for s, r in enumerate(ranks) if r in window]
-
-
-def _cp_covered(p: float, design: TwoStageDesign, level: float) -> list[int]:
+def _cp_covered(p: float, design: TwoStageDesign, level: float, half: float) -> list[int]:
     """Totals whose CP interval contains p: a window of each stage's
     totals 0 < s < m on its Bin(m, p) row, and s = 0 and s = n by their
     closed-form limits."""
-    half = _check_level(level) / 2.0
     a1, n1, n = design.a1, design.n1, design.n
-    covered = [
-        s for s, m in ((0, n1), (n, n)) if ci_clopper_pearson(s, m, level).contains(p)
-    ]
-    covered += _tail_window(binom_pmf_row(n1, p), 1, a1 + 1, half)
-    covered += _tail_window(binom_pmf_row(n, p), a1 + 1, n, half)
+    covered = [s for s, m in ((0, n1), (n, n)) if ci_clopper_pearson(s, m, level).contains(p)]
+    covered += _tail_window(binom_pmf_row(n1, p), 1, a1 + 1, lambda k: _cp_equations(k, n1, half))
+    covered += _tail_window(binom_pmf_row(n, p), a1 + 1, n, lambda k: _cp_equations(k, n, half))
     return covered

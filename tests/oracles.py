@@ -586,8 +586,9 @@ def midp_tail_full_row(s, p, design):
 
 
 def midp_covered_full_row(row, design, half):
-    """inference._midp_covered with the weights rebuilt and the whole row
-    summed at every probe of the rank search."""
+    """The totals whose mid-p interval contains p, for the terminal row at
+    p: a search over UMVUE ranks with the weights rebuilt and the whole row
+    summed at every probe."""
     from bisect import bisect_left
     from operator import mul
 

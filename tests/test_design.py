@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import tracemalloc
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -38,6 +39,7 @@ from twostage.design import (
     COUNT_ROW_BUDGET,
     DesignTargets,
     InfeasibleDesignError,
+    RowSum,
     TwoStageDesign,
     _COUNT_ROWS,
     _CountRows,
@@ -57,7 +59,6 @@ from twostage.design import (
     search_designs,
     terminal_distribution,
     terminal_pmf,
-    terminal_tail,
 )
 from twostage.deviation import reject_prob_retained
 from twostage.inference import q_lower_value, q_value
@@ -151,7 +152,8 @@ def test_terminal_pmf_rows_match_path_enumeration():
         assert row[:2] == pytest.approx([oracle[(s, 10)] for s in range(2)], abs=1e-12)
         assert row[2:] == pytest.approx([oracle[(s, 29)] for s in range(2, 30)], abs=1e-12)
         assert q_value_full_row(DESIGN.a + 1, p, DESIGN) == reject_prob(p, DESIGN)
-        assert terminal_tail(DESIGN, p, 30) == 0.0
+        # an empty run past the end of the row sums to 0.0
+        assert RowSum(partial(terminal_pmf, DESIGN), ((30, 30, None),), True)(p) == 0.0
 
 
 ORACLE_DESIGNS = [(1, 5, 10, 29), (13, 40, 40, 110), (5, 13, 105, 169), (30, 80, 150, 400)]

@@ -5,6 +5,7 @@ import math
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -28,7 +29,7 @@ from oracles import (
     umvue_fraction_sum,
 )
 from twostage import inference
-from twostage.binomial import binom_cdf, binom_upper_tail, solve_monotone_root
+from twostage.binomial import binom_cdf, binom_pmf_row, binom_upper_tail, solve_monotone_root
 from twostage.design import (
     DesignTargets,
     TwoStageDesign,
@@ -322,12 +323,13 @@ def test_conditional_estimate_is_bit_identical_to_the_full_scan(design, m):
 
 
 @pytest.mark.parametrize(
-    "p, a1, n1", [(1e-12, 27, 30), (1e-12, 29, 30), (3e-10, 58, 60), (1e-12, 29, 100)]
+    "p, a1, n1",
+    [(1e-12, 26, 30), (1e-12, 27, 30), (1e-12, 29, 30), (3e-10, 58, 60), (1e-12, 29, 100)],
 )
 def test_log_continuation_prob_where_the_tail_underflows(p, a1, n1):
-    # P(X1 > a1) is below the smallest subnormal, so its log comes from the
-    # log-space terms
-    assert binom_upper_tail(a1 + 1, n1, p) == 0.0
+    # P(X1 > a1) is subnormal (26/30, about 4e-321) or below the smallest
+    # subnormal, so its log comes from the log-space terms
+    assert binom_upper_tail(a1 + 1, n1, p) < sys.float_info.min
     with mpmath.workdps(40):
         q = mpmath.mpf(p)
         tail = mpmath.fsum(
@@ -338,9 +340,9 @@ def test_log_continuation_prob_where_the_tail_underflows(p, a1, n1):
 
 
 def test_log_continuation_prob_is_the_log_of_the_tail_otherwise():
-    for p, a1, n1 in [(1e-12, 26, 30), (1e-12, 0, 5), (0.3, 5, 15), (1.0, 29, 30)]:
+    for p, a1, n1 in [(1e-12, 0, 5), (0.3, 5, 15), (1.0, 29, 30)]:
         tail = binom_upper_tail(a1 + 1, n1, p)
-        assert tail > 0.0
+        assert tail >= sys.float_info.min
         assert inference._log_continuation_prob(p, a1, n1) == math.log(tail)
 
 
@@ -806,6 +808,40 @@ def test_exact_estimates_after_terminal_pmf_build_no_second_row():
     assert (_COUNT_ROWS.misses, _COUNT_ROWS.hits) == (1, 8)
 
 
+ROW_SUM_PS = [0.0, 5e-324, 1e-300, 0.3137, 1.0 - 2.0**-53, 1.0]
+
+
+@pytest.mark.parametrize(
+    "design", DESIGNS + [DESIGN.with_final_n(26), TIED], ids=lambda d: d.compact()
+)
+def test_every_row_sum_on_a_built_row_is_the_sum_at_p(design):
+    # each equation's sum, evaluated on the whole row at p, is the float it
+    # gives when called at p and builds only the terms of its runs
+    sums = [inference._estimator_mean(name, design) for name in ("naive", "umvue", "umvcue")]
+    binomial_sums = []
+    for s in range(design.n + 1):
+        m = design.size_at(s)
+        outcome = AnalysisState(design=design, s=s, m=m)
+        for name in ("bias_adjusted", "median_unbiased"):
+            equation = inference.estimate_equation(name, outcome)
+            assert equation is not None or (name, s) == ("median_unbiased", 0)
+            sums += [] if equation is None else [equation[0]]
+        for method in ("JT", "midp"):
+            sums += [f for f, _ in inference.interval_equations(method, s, m, 0.95, design)]
+        cp = inference.interval_equations("CP", s, m, 0.95)
+        binomial_sums += [] if cp is None else [(m, f) for f, _ in cp]
+    assert len(sums) == 3 + 2 * design.n + 1 + 4 * (design.n + 1)
+    for p in ROW_SUM_PS:
+        row = terminal_pmf(design, p)
+        for f in sums:
+            assert f.on(row) == f(p), (p, f.runs)
+        for m, f in binomial_sums:
+            assert f.on(binom_pmf_row(m, p)) == f(p), (p, m, f.runs)
+        for name in ("naive", "umvue", "umvcue"):
+            expected = inference._estimator_mean(name, design).on(row)
+            assert estimator_bias(name, p, design)[0] == expected, (p, name)
+
+
 def test_interval_properties_all_methods():
     for method in ("JT", "midp", "CP", "Wald", "Wilson"):
         for s, m in [(0, 10), (1, 10), (2, 29), (6, 29), (29, 29)]:
@@ -888,13 +924,17 @@ def test_coverage_by_inversion_is_the_interval_path(design, method):
 
 @pytest.mark.parametrize("design", COVERAGE_DESIGNS + [TIED], ids=lambda d: d.compact())
 def test_midp_coverage_by_rank_groups_is_the_full_row_search(design):
+    # coverage searches the outcomes in UMVUE rank order with the mid-p
+    # tail's own sum on the row; the oracle rebuilds every weight and sums
+    # the whole row at each probe of its search over ranks
     grid = [0.0, 5e-324, 1.0] + [k / 200 for k in range(1, 200)]
     for level in (0.9, 0.95):
         half = (1.0 - level) / 2.0
         for p in grid:
             row = terminal_pmf(design, p)
-            assert inference._midp_covered(row, design, half) == midp_covered_full_row(
-                row, design, half
+            covered = midp_covered_full_row(row, design, half)
+            assert coverage("midp", p, design, level) == min(
+                1.0, math.fsum(row[s] for s in covered)
             ), (level, p)
 
 
