@@ -14,7 +14,6 @@ import io
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, TextIO, Union
 
@@ -355,18 +354,6 @@ def _ruled_out(equation: Optional[Equation], window: Optional[tuple[float, float
     return equation is not None and window is not None and root_outside(*equation, *window)
 
 
-@lru_cache(maxsize=1 << 14)
-def _interval_ruled_out(
-    method: str, s: int, m: int, level: float, design: Optional[TwoStageDesign], windows: tuple
-) -> bool:
-    """True when the interval's lower limit, or else its upper, lies outside
-    its rounding window. The summary and the figure data check each record,
-    and records repeat outcomes, so each answer is kept: at most 2^14, under
-    500 bytes each with their keys, 8 MB in all."""
-    equations = interval_equations(method, s, m, level, design)
-    return equations is not None and any(map(_ruled_out, equations, windows))
-
-
 def _analysis_state(record: TrialRecord) -> Optional[AnalysisState]:
     """The stage-2 analysis at the analysed sample size, on the design
     usable for adjusted inference there (``state.design``); None when the
@@ -474,7 +461,8 @@ def _check_intervals(
     )
     candidates = {}
     for method in methods:
-        if method == "JT" or not _interval_ruled_out(method, s, m, level, design, windows):
+        equations = None if method == "JT" else interval_equations(method, s, m, level, design)
+        if equations is None or not any(map(_ruled_out, equations, windows)):
             candidates[method] = _INTERVALS[method](s, m, level, design)
     matched = {
         name

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
+from operator import mul
 from statistics import NormalDist
-from typing import Callable
+from typing import Callable, NamedTuple, Optional, Sequence
 
 _STD_NORMAL = NormalDist()
 
@@ -88,6 +90,54 @@ def binom_pmf(s: int, m: int, p: float) -> float:
     return binom_pmf_row(m, p, s, s + 1)[0]
 
 
+class RowSum(NamedTuple):
+    """The weighted sum of runs of one probability row, a function of p.
+
+    ``row(p, start, stop)`` returns the row's terms start..stop - 1 at p:
+    binom_pmf_row bound to a sample size, or design.terminal_pmf bound to
+    a design. A run (start, stop, weights) adds those terms, each times its
+    weight, or as they are where weights is None. A capped sum, a tail, is
+    clamped to 1.0; an expectation is not. Calling the sum at p builds only
+    the terms of its runs, or returns ``cached(p)`` where given: the same
+    sum from the kernel's cache (binom_cdf or binom_upper_tail bound to s
+    and m). ``on(row)`` reads the terms from the whole row at p.
+
+    Every tail, expectation and interval equation of the package is one
+    RowSum, the kernel's binom_cdf and binom_upper_tail included. fsum
+    rounds the exact sum of its terms once, and a weight of 1.0 leaves a
+    term unchanged, so a sum gives the same float whatever the order of
+    its terms, the zero terms left out or its split into runs.
+    """
+
+    row: Callable[[float, int, int], list[float]]
+    runs: Sequence[tuple[int, int, Optional[Sequence[float]]]]
+    capped: bool = False
+    cached: Optional[Callable[[float], float]] = None
+
+    def __call__(self, p: float) -> float:
+        if self.cached is not None:
+            return self.cached(p)
+        row, runs = self.row, self.runs
+        if len(runs) == 1:
+            # one run, the common case: its terms go to fsum unchained
+            ((start, stop, weights),) = runs
+            terms = row(p, start, stop)
+            products = terms if weights is None else map(mul, weights, terms)
+        else:
+            slices = [(row(p, start, stop), weights) for start, stop, weights in runs]
+            products = chain.from_iterable(
+                [terms if w is None else map(mul, w, terms) for terms, w in slices]
+            )
+        total = math.fsum(products)
+        return min(1.0, total) if self.capped else total
+
+    def on(self, row: Sequence[float]) -> float:
+        # the same sum, its runs sliced from the built row, which fixes p
+        runs = [row[a:b] if w is None else map(mul, w, row[a:b]) for a, b, w in self.runs]
+        total = math.fsum(chain.from_iterable(runs))
+        return min(1.0, total) if self.capped else total
+
+
 @lru_cache(maxsize=1 << 20)
 def binom_cdf(s: int, m: int, p: float) -> float:
     """P(X <= s) for X ~ Bin(m, p); s = -1 (or below) gives 0 exactly."""
@@ -98,7 +148,7 @@ def binom_cdf(s: int, m: int, p: float) -> float:
         return 0.0
     if s == m:
         return 1.0
-    return min(1.0, math.fsum(binom_pmf_row(m, p, 0, s + 1)))
+    return RowSum(partial(binom_pmf_row, m), ((0, s + 1, None),), True)(p)
 
 
 @lru_cache(maxsize=1 << 20)
@@ -115,7 +165,7 @@ def binom_upper_tail(s: int, m: int, p: float) -> float:
         return 1.0
     if s > m:
         return 0.0
-    return min(1.0, math.fsum(binom_pmf_row(m, p, s)))
+    return RowSum(partial(binom_pmf_row, m), ((s, m + 1, None),), True)(p)
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,13 @@ import re
 from dataclasses import dataclass
 from collections import OrderedDict
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import add, mul
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
-from .binomial import MAX_SAMPLE_SIZE, _check_trial, _log_factorials, binom_cdf, binom_pmf_row
+from .binomial import (
+    MAX_SAMPLE_SIZE, RowSum, _check_trial, _log_factorials, binom_cdf, binom_pmf_row
+)
 
 
 class InfeasibleDesignError(ValueError):
@@ -191,46 +193,6 @@ def terminal_pmf(
         exp(c + s * log_p + f * log_q)
         for c, s, f in zip(exponents[start:stop], totals[start:stop], rests[start:stop])
     ]
-
-
-class RowSum(NamedTuple):
-    """The weighted sum of runs of one probability row, a function of p.
-
-    ``row(p, start, stop)`` returns the row's terms start..stop - 1 at p:
-    terminal_pmf bound to a design, or binom_pmf_row bound to a sample
-    size. A run (start, stop, weights) adds those terms, each times its
-    weight, or as they are where weights is None. A capped sum, a tail, is
-    clamped to 1.0; an expectation is not. Calling the sum at p builds only
-    the terms of its runs; ``on(row)`` reads them from the whole row at p.
-
-    Every tail, expectation and interval equation of the package is one
-    RowSum. fsum rounds the exact sum of its terms once, and a weight of
-    1.0 leaves a term unchanged, so a sum gives the same float whatever the
-    order of its terms, the zero terms left out or its split into runs.
-    """
-
-    row: Callable[[float, int, int], list[float]]
-    runs: Sequence[tuple[int, int, Optional[Sequence[float]]]]
-    capped: bool = False
-
-    def __call__(self, p: float) -> float:
-        row, runs = self.row, self.runs
-        if len(runs) == 1:
-            # one run, the common case: its terms go to fsum unchained
-            ((start, stop, weights),) = runs
-            terms = row(p, start, stop)
-            products = terms if weights is None else map(mul, weights, terms)
-        else:
-            slices = [(row(p, start, stop), weights) for start, stop, weights in runs]
-            products = chain.from_iterable(
-                [terms if w is None else map(mul, w, terms) for terms, w in slices]
-            )
-        total = math.fsum(products)
-        return min(1.0, total) if self.capped else total
-
-    def on(self, row: Sequence[float]) -> float:
-        # the same sum, its runs sliced from the built row, which fixes p
-        return self._replace(row=lambda p, start, stop: row[start:stop])(math.nan)
 
 
 # Largest number of row entries _COUNT_ROWS keeps, summed over its rows.

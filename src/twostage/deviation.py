@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from .binomial import binom_pmf, binom_upper_tail
-from .design import RowSum, TwoStageDesign, terminal_pmf
+from .binomial import RowSum, binom_pmf, binom_upper_tail
+from .design import TwoStageDesign, terminal_pmf
 from .inference import AnalysisState, _naive_row
 
 

@@ -22,13 +22,15 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .binomial import (
+    RowSum,
     _log_factorials,
+    binom_cdf,
     binom_pmf_row,
     binom_upper_tail,
     normal_quantile,
     solve_monotone_root,
 )
-from .design import RowSum, TwoStageDesign, path_counts, terminal_pmf
+from .design import TwoStageDesign, path_counts, terminal_pmf
 
 ROOT_TOL = 1e-10
 
@@ -605,7 +607,8 @@ def _cp_equations(s: int, m: int, half: float) -> Optional[tuple[Equation, Equat
     if s in (0, m):
         return None
     row = partial(binom_pmf_row, m)
-    upper, lower = RowSum(row, ((s, m + 1, None),), True), RowSum(row, ((0, s + 1, None),), True)
+    upper = RowSum(row, ((s, m + 1, None),), True, partial(binom_upper_tail, s, m))
+    lower = RowSum(row, ((0, s + 1, None),), True, partial(binom_cdf, s, m))
     return (upper, half), (lower, half)
 
 
@@ -716,18 +719,10 @@ def coverage(method: str, p: float, design: TwoStageDesign, level: float = 0.95)
     row = terminal_pmf(design, p)
     half = _check_level(level) / 2.0
     if name == "JT":
-        covered: Iterable[int] = _tail_window(
-            row, 0, len(row), lambda k: _jt_equations(k, design.size_at(k), design, half)
-        )
+        jt = lambda k: _jt_equations(k, design.size_at(k), design, half)
+        covered: Iterable[int] = _tail_window(row, 0, len(row), jt)
     elif name == "midp":
-        # the mid-p tail falls as the observed UMVUE rank rises, and outcomes
-        # of equal rank share it, so in rank order the outcomes with
-        # alpha/2 <= tail <= 1 - alpha/2 form a window
-        ranks = _umvue_ranks(design.a1, design.n1, design.n)
-        order = sorted(range(len(row)), key=ranks.__getitem__)
-        tail = lambda i: _midp_equations(order[i], design, half)[0][0].on(row)
-        window = _window(0, len(order), lambda i: tail(i) <= 1.0 - half, lambda i: tail(i) < half)
-        covered = order[window.start : window.stop]
+        covered = _midp_covered(row, design, half)
     elif name == "CP":
         covered = _cp_covered(p, design, level, half)
     else:
@@ -746,6 +741,16 @@ def _window(
     predicate is False and then True as k grows: two binary searches."""
     start = bisect_left(range(hi), True, lo, hi, key=reached)
     return range(start, bisect_left(range(hi), True, start, hi, key=passed))
+
+
+def _midp_covered(row: list[float], design: TwoStageDesign, half: float) -> list[int]:
+    """Totals whose mid-p interval contains p, for the terminal row at p. The
+    tail falls as the observed UMVUE rank rises: in rank order, a window."""
+    ranks = _umvue_ranks(design.a1, design.n1, design.n)
+    order = sorted(range(len(row)), key=ranks.__getitem__)
+    tail = lambda i: _midp_equations(order[i], design, half)[0][0].on(row)
+    window = _window(0, len(order), lambda i: tail(i) <= 1.0 - half, lambda i: tail(i) < half)
+    return order[window.start : window.stop]
 
 
 def _tail_window(

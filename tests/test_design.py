@@ -34,12 +34,11 @@ from oracles import (
     ump_first_n,
 )
 import twostage.design as design_module
-from twostage.binomial import MAX_SAMPLE_SIZE, _log_factorials, binom_pmf, binom_pmf_row
+from twostage.binomial import MAX_SAMPLE_SIZE, RowSum, _log_factorials, binom_pmf, binom_pmf_row
 from twostage.design import (
     COUNT_ROW_BUDGET,
     DesignTargets,
     InfeasibleDesignError,
-    RowSum,
     TwoStageDesign,
     _COUNT_ROWS,
     _CountRows,

@@ -842,6 +842,17 @@ def test_every_row_sum_on_a_built_row_is_the_sum_at_p(design):
             assert estimator_bias(name, p, design)[0] == expected, (p, name)
 
 
+def test_cp_sums_read_the_kernel_tail_caches():
+    # the audit rules CP intervals out at rounding-window ends that recur
+    # across records, so the CP sums read the kernel's cached tails
+    (upper, _), (lower, _) = inference.interval_equations("CP", 6, 29, 0.95)
+    for f, kernel in ((upper, binom_upper_tail), (lower, binom_cdf)):
+        expected = kernel(6, 29, 0.2719)
+        hits = kernel.cache_info().hits
+        assert f(0.2719) == expected
+        assert kernel.cache_info().hits == hits + 1
+
+
 def test_interval_properties_all_methods():
     for method in ("JT", "midp", "CP", "Wald", "Wilson"):
         for s, m in [(0, 10), (1, 10), (2, 29), (6, 29), (29, 29)]:
@@ -933,6 +944,7 @@ def test_midp_coverage_by_rank_groups_is_the_full_row_search(design):
         for p in grid:
             row = terminal_pmf(design, p)
             covered = midp_covered_full_row(row, design, half)
+            assert sorted(inference._midp_covered(row, design, half)) == covered, (level, p)
             assert coverage("midp", p, design, level) == min(
                 1.0, math.fsum(row[s] for s in covered)
             ), (level, p)
