@@ -16,10 +16,11 @@ target is crossed.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain
-from operator import mul
+from operator import add, mul
 from statistics import NormalDist
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -29,10 +30,22 @@ _STD_NORMAL = NormalDist()
 # design search's n_max, the deviation analyses and the audit accept. It
 # bounds the work and memory of one analysis: a row of exact path counts at
 # this size takes 2 to 2.6 s to build and 2.6 MB to keep as integers, and the
-# one store of prepared terminal rows (design._CountRows) holds at most 2^16
-# entries, one per total. An entry above a1 takes at most 740 bytes with its
-# count, a stage-1 entry, which carries no count, 40: under 51 MB in all.
+# one store of prepared rows (_CountRows) holds at most 2^16 entries, one per
+# total. An entry above a1 takes at most 740 bytes with its count, an entry
+# without a count 40: under 51 MB in all.
 MAX_SAMPLE_SIZE = 5000
+
+# Largest number of row entries _COUNT_ROWS keeps, summed over its rows.
+COUNT_ROW_BUDGET = 1 << 16
+
+# (a1, n1, n_final), the key of a design's terminal row; the Bin(m, p) row,
+# of a trial that never continues, is (m, m, m)
+RowKey = tuple[int, int, int]
+
+# one prepared row: the path counts c_s for s = a1 + 1..n_final; the p-free
+# exponent e_s for every s = 0..n_final; the shared table _totals, whose
+# entry s is float(s); and float(size_at(s) - s) for every s
+_CountRow = tuple[tuple[int, ...], list[float], list[float], list[float]]
 
 
 @lru_cache(maxsize=1)
@@ -45,38 +58,122 @@ def _log_factorials() -> list[float]:
     return [math.lgamma(k + 1) for k in range(MAX_SAMPLE_SIZE + 1)]
 
 
+@lru_cache(maxsize=1)
+def _totals() -> list[float]:
+    """float(k) for k = 0..MAX_SAMPLE_SIZE, built on first use: the
+    multipliers of log p and log(1 - p) in every prepared row, which share
+    these float objects. 5001 floats, about 32 bytes each: 160 KB."""
+    return [float(k) for k in range(MAX_SAMPLE_SIZE + 1)]
+
+
+def _prepared_row(a1: int, n1: int, n_final: int) -> _CountRow:
+    """The prepared row of the key (a1, n1, n_final): e_s is
+    lf[n1] - lf[s] - lf[n1 - s] = log C(n1, s) for s <= a1 and log c_s
+    above, with the path count c_s built exactly by Pascal's rule; math.log
+    takes an int of any size, so counts beyond the float range (C(2000,
+    1000) is about 1e600) never overflow. The key (m, m, m) has no counts.
+    The multiplier lists hold floats of _totals, not copies, and every list
+    is built at its exact length."""
+    row = [math.comb(n1, i) for i in range(a1 + 1, n1 + 1)]
+    for _ in range(n_final - n1):
+        row = list(map(add, row + [0], [0] + row))
+    lf, totals = _log_factorials(), _totals()
+    lf_n1 = lf[n1]
+    exponents = [lf_n1 - lf[s] - lf[n1 - s] for s in range(a1 + 1)] + list(map(math.log, row))
+    # size_at(s) - s: n1 - s for s = 0..a1, then n_final - s above a1
+    rests = totals[n1 - a1 : n1 + 1][::-1] + totals[: n_final - a1][::-1]
+    return tuple(row), exponents, totals, rests
+
+
+class _CountRows:
+    """The prepared rows in use, keyed by (a1, n1, n_final), not by p, in
+    least recently used order.
+
+    A row is built on its first lookup and holds n_final + 1 entries, one
+    for each total s. Rows are evicted, least recently used first, only
+    when the entries kept would exceed ``budget``. An entry above a1
+    holds its count, at most an int no larger than C(MAX_SAMPLE_SIZE, 2500),
+    692 bytes, with its 8-byte tuple slot, and every entry holds its
+    exponent, a 24-byte float in an 8-byte list slot, and an 8-byte slot
+    for its multiplier of log(1 - p); the multipliers themselves are shared
+    (_totals). So an entry takes at most 740 bytes, one without a count 40,
+    and the entries of COUNT_ROW_BUDGET at most 48.5 MB. A row adds under
+    600 bytes of containers and key, and as n (n - 1) / 2 designs and one
+    Bin row have n + 1 entries, the budget holds at most 3,100 rows: under
+    51 MB in all. ``hits`` and ``misses`` count the lookups that found and
+    built a row.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.rows: OrderedDict[RowKey, _CountRow] = OrderedDict()
+        self.entries = self.hits = self.misses = 0
+
+    def get(self, key: RowKey) -> _CountRow:
+        rows = self.rows
+        found = rows.get(key)
+        if found is not None:
+            self.hits += 1
+            rows.move_to_end(key)
+            return found
+        self.misses += 1
+        found = _prepared_row(*key)
+        self.entries += len(found[1])
+        while self.entries > self.budget and rows:
+            self.entries -= len(rows.popitem(last=False)[1][1])
+        rows[key] = found
+        return found
+
+    def clear(self) -> None:
+        self.rows.clear()
+        self.entries = self.hits = self.misses = 0
+
+
+_COUNT_ROWS = _CountRows(COUNT_ROW_BUDGET)
+
+
+def path_counts(a1: int, n1: int, n_final: int) -> tuple[int, ...]:
+    """c_s for s = a1 + 1..n_final: the number of ways to continue past a1
+    and end with s total successes, sum over i > a1 of
+    C(n1, i) C(n_final - n1, s - i), positive for exactly these s. Built
+    exactly by Pascal's rule and kept in _COUNT_ROWS with the rest of the
+    design's prepared row. As c_s <= C(n_final, s), the counts take no
+    more bytes than the binomial coefficients of n_final: 11 KB at
+    n_final = 200, 2.6 MB (built in 2 to 2.6 s) at MAX_SAMPLE_SIZE."""
+    return _COUNT_ROWS.get((a1, n1, n_final))[0]
+
+
+def _row_terms(key: RowKey, p: float, start: int, stop: int) -> list[float]:
+    """Terms start..stop - 1 of the row of key at p: the one term formula,
+    exp(e_s + s log p + (size_at(s) - s) log(1 - p)), so a term is the same
+    float wherever it is read. p = 0 puts all the mass on s = 0, and p = 1
+    on s = n_final."""
+    if not 0.0 < p < 1.0:
+        _check_trial(key[2], p)
+        mode = 0 if p == 0.0 else key[2]
+        return [1.0 if s == mode else 0.0 for s in range(start, stop)]
+    _, exponents, totals, rests = _COUNT_ROWS.get(key)
+    log_p, log_q, exp = math.log(p), math.log1p(-p), math.exp
+    return [
+        exp(c + s * log_p + f * log_q)
+        for c, s, f in zip(exponents[start:stop], totals[start:stop], rests[start:stop])
+    ]
+
+
 def binom_pmf_row(m: int, p: float, start: int = 0, stop: int | None = None) -> list[float]:
     """P(X = s) for X ~ Bin(m, p) and s in range(start, stop), with
     0 <= start <= stop <= m + 1; stop defaults to m + 1. Raises ValueError
     for m above MAX_SAMPLE_SIZE or terms outside 0..m.
 
-    Each term is exp(log m! - log s! - log (m - s)! + s log p
-    + (m - s) log(1 - p)), added left to right, with the log-factorials read
-    from one table that does not depend on p. So an evaluation at a new p
-    costs one exp per term, and each term equals the one computed with
-    lgamma calls bit for bit.
-
-    binom_pmf caches single terms of it; the row itself is not cached.
-    The tails are mostly taken at root-solve points that never recur;
-    caching their terms one by one would fill the scalar cache with entries
-    that are never read again. The terminal-outcome kernel does not call
-    it: each design's prepared row (design.terminal_pmf) keeps the p-free
-    part lf[m] - lf[s] - lf[m - s] of its stage-1 terms and adds the same
-    two products to it, so its terms are these, bit for bit.
+    The terms of the prepared row (m, m, m). binom_pmf caches single terms
+    of it; the terms are not cached by p, since the tails are mostly taken
+    at root-solve points that never recur.
     """
     _check_trial(m, p)
     stop = m + 1 if stop is None else stop
     if start < 0 or stop > m + 1:
         raise ValueError(f"terms {start}..{stop - 1} are outside 0..{m}")
-    if p == 0.0 or p == 1.0:
-        mode = 0 if p == 0.0 else m
-        return [1.0 if s == mode else 0.0 for s in range(start, stop)]
-    lf = _log_factorials()
-    lf_m, log_p, log_q, exp = lf[m], math.log(p), math.log1p(-p), math.exp
-    return [
-        exp(lf_m - lf[s] - lf[m - s] + s * log_p + (m - s) * log_q)
-        for s in range(start, stop)
-    ]
+    return _row_terms((m, m, m), p, start, stop)
 
 
 @lru_cache(maxsize=1 << 20)
@@ -93,9 +190,9 @@ def binom_pmf(s: int, m: int, p: float) -> float:
 class RowSum(NamedTuple):
     """The weighted sum of runs of one probability row, a function of p.
 
-    ``row(p, start, stop)`` returns the row's terms start..stop - 1 at p:
-    binom_pmf_row bound to a sample size, or design.terminal_pmf bound to
-    a design. A run (start, stop, weights) adds those terms, each times its
+    ``row`` is the key of a prepared row: a design's row_key for its
+    terminal row, or (m, m, m) for the Bin(m, p) row. A run (start, stop,
+    weights) adds the row's terms start..stop - 1 at p, each times its
     weight, or as they are where weights is None. A capped sum, a tail, is
     clamped to 1.0; an expectation is not. Calling the sum at p builds only
     the terms of its runs, or returns ``cached(p)`` where given: the same
@@ -109,7 +206,7 @@ class RowSum(NamedTuple):
     its terms, the zero terms left out or its split into runs.
     """
 
-    row: Callable[[float, int, int], list[float]]
+    row: RowKey
     runs: Sequence[tuple[int, int, Optional[Sequence[float]]]]
     capped: bool = False
     cached: Optional[Callable[[float], float]] = None
@@ -121,10 +218,10 @@ class RowSum(NamedTuple):
         if len(runs) == 1:
             # one run, the common case: its terms go to fsum unchained
             ((start, stop, weights),) = runs
-            terms = row(p, start, stop)
+            terms = _row_terms(row, p, start, stop)
             products = terms if weights is None else map(mul, weights, terms)
         else:
-            slices = [(row(p, start, stop), weights) for start, stop, weights in runs]
+            slices = [(_row_terms(row, p, start, stop), w) for start, stop, w in runs]
             products = chain.from_iterable(
                 [terms if w is None else map(mul, w, terms) for terms, w in slices]
             )
@@ -148,7 +245,7 @@ def binom_cdf(s: int, m: int, p: float) -> float:
         return 0.0
     if s == m:
         return 1.0
-    return RowSum(partial(binom_pmf_row, m), ((0, s + 1, None),), True)(p)
+    return RowSum((m, m, m), ((0, s + 1, None),), True)(p)
 
 
 @lru_cache(maxsize=1 << 20)
@@ -165,7 +262,7 @@ def binom_upper_tail(s: int, m: int, p: float) -> float:
         return 1.0
     if s > m:
         return 0.0
-    return RowSum(partial(binom_pmf_row, m), ((s, m + 1, None),), True)(p)
+    return RowSum((m, m, m), ((s, m + 1, None),), True)(p)
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,8 @@ EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_PARTIAL_AUDIT = 4
 
-# Most points a "start:stop:step" p-grid may have: a step of 1e-4 across
-# [0, 1]. Each point costs one exact coverage sum.
+# Most points a p-grid may have, a "start:stop:step" grid or a comma list:
+# a step of 1e-4 across [0, 1]. Each point costs one exact coverage sum.
 MAX_P_GRID_POINTS = 10_001
 
 
@@ -241,8 +241,11 @@ def _parse_p_grid(spec: str) -> list[float]:
             values.append(round(p, 12))
             k += 1
         return values
+    points = [x for x in spec.split(",") if x.strip()]
+    if len(points) > MAX_P_GRID_POINTS:
+        raise ValueError(f"p-grid lists {len(points)} points, above the cap of {MAX_P_GRID_POINTS}")
     try:
-        return [float(x) for x in spec.split(",") if x.strip()]
+        return [float(x) for x in points]
     except ValueError:
         raise ValueError(f"malformed p-grid {spec!r}")
 

@@ -13,15 +13,12 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from collections import OrderedDict
-from functools import lru_cache, partial, reduce
+from functools import reduce
 from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Iterator, NamedTuple, Optional
 
-from .binomial import (
-    MAX_SAMPLE_SIZE, RowSum, _check_trial, _log_factorials, binom_cdf, binom_pmf_row
-)
+from .binomial import MAX_SAMPLE_SIZE, RowSum, _row_terms, binom_cdf, binom_pmf_row
 
 
 class InfeasibleDesignError(ValueError):
@@ -69,6 +66,11 @@ class TwoStageDesign:
     @property
     def n2(self) -> int:
         return self.n - self.n1
+
+    @property
+    def row_key(self) -> tuple[int, int, int]:
+        """The key (a1, n1, n) of the terminal row, which a does not enter."""
+        return self.a1, self.n1, self.n
 
     def __post_init__(self) -> None:
         problems = []
@@ -168,128 +170,14 @@ def terminal_pmf(
     expectation over it is a RowSum. A trial analysed at a realised final
     size m passes design.with_final_n(m). The slice follows binom_pmf_row:
     0 <= start and stop <= n + 1, with stop defaulting to n + 1, and only
-    its terms are built, one exp each.
-
-    Every term is exp(e_s + s log p + (size_at(s) - s) log(1 - p)), read
-    from the design's prepared row (_prepared_row): e_s is log C(n1, s) as
-    binom_pmf_row forms it for s <= a1, and log c_s above a1, with the path
-    count c_s of path_counts, since each continuing path that ends with s
-    successes has probability p^s (1 - p)^(n - s). Each term equals the
-    one binom_pmf_row or the count gives, bit for bit. The design's own
-    cap bounds the row.
+    its terms are built, one exp each, from the design's prepared row
+    (binomial._prepared_row). The design's own cap bounds the row.
     """
     n = design.n
     stop = n + 1 if stop is None else stop
     if start < 0 or stop > n + 1:
         raise ValueError(f"totals {start}..{stop - 1} are outside 0..{n}")
-    if not 0.0 < p < 1.0:
-        _check_trial(n, p)
-        # the trial ends with no success at p = 0, with n of them at p = 1
-        mode = 0 if p == 0.0 else n
-        return [1.0 if s == mode else 0.0 for s in range(start, stop)]
-    _, exponents, totals, rests = _COUNT_ROWS.get(design.a1, design.n1, n)
-    log_p, log_q, exp = math.log(p), math.log1p(-p), math.exp
-    return [
-        exp(c + s * log_p + f * log_q)
-        for c, s, f in zip(exponents[start:stop], totals[start:stop], rests[start:stop])
-    ]
-
-
-# Largest number of row entries _COUNT_ROWS keeps, summed over its rows.
-COUNT_ROW_BUDGET = 1 << 16
-
-# one prepared terminal row: the path counts c_s for s = a1 + 1..n_final;
-# the p-free exponent e_s for every s = 0..n_final; the shared table
-# _totals, whose entry s is float(s); and float(size_at(s) - s) for every s
-_CountRow = tuple[tuple[int, ...], list[float], list[float], list[float]]
-
-
-@lru_cache(maxsize=1)
-def _totals() -> list[float]:
-    """float(k) for k = 0..MAX_SAMPLE_SIZE, built on first use: the
-    multipliers of log p and log(1 - p) in every prepared row, which share
-    these float objects. 5001 floats, about 32 bytes each: 160 KB."""
-    return [float(k) for k in range(MAX_SAMPLE_SIZE + 1)]
-
-
-def _prepared_row(a1: int, n1: int, n_final: int) -> _CountRow:
-    """The prepared terminal row of the design (a1, n1, n_final).
-
-    The path counts are built exactly by Pascal's rule. The exponent part
-    is lf[n1] - lf[s] - lf[n1 - s] for s <= a1, the intermediate
-    binom_pmf_row forms from the same log-factorial table, and log c_s
-    above a1; math.log takes an int of any size, so counts beyond the float
-    range (C(2000, 1000) is about 1e600) never overflow. The multiplier
-    lists hold floats of _totals, not copies, and every list is built at
-    its exact length."""
-    row = [math.comb(n1, i) for i in range(a1 + 1, n1 + 1)]
-    for _ in range(n_final - n1):
-        row = list(map(add, row + [0], [0] + row))
-    lf, totals = _log_factorials(), _totals()
-    lf_n1 = lf[n1]
-    exponents = [lf_n1 - lf[s] - lf[n1 - s] for s in range(a1 + 1)] + list(map(math.log, row))
-    # size_at(s) - s: n1 - s for s = 0..a1, then n_final - s above a1
-    rests = totals[n1 : n1 - a1 - 1 : -1] + totals[n_final - a1 - 1 :: -1]
-    return tuple(row), exponents, totals, rests
-
-
-class _CountRows:
-    """The prepared terminal rows in use, keyed by (a1, n1, n_final), not
-    by p, in least recently used order.
-
-    A row is built on its first lookup and holds n_final + 1 entries, one
-    for each total s. Rows are evicted, least recently used first, only
-    when the entries kept would exceed ``budget``. An entry above a1
-    holds its count, at most an int no larger than C(MAX_SAMPLE_SIZE, 2500),
-    692 bytes, with its 8-byte tuple slot, and every entry holds its
-    exponent, a 24-byte float in an 8-byte list slot, and an 8-byte slot
-    for its multiplier of log(1 - p); the multipliers themselves are shared
-    (_totals). So an entry takes at most 740 bytes, a stage-1 entry 40, and
-    the entries of COUNT_ROW_BUDGET at most 48.5 MB. A row adds under 600
-    bytes of containers and key, and as a final size n has n (n - 1) / 2
-    rows of n + 1 entries, the budget holds at most 3,100 rows: under 2 MB
-    more, under 51 MB in all. ``hits`` and ``misses`` count the lookups
-    that found and built a row.
-    """
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.rows: OrderedDict[tuple[int, int, int], _CountRow] = OrderedDict()
-        self.entries = self.hits = self.misses = 0
-
-    def get(self, a1: int, n1: int, n_final: int) -> _CountRow:
-        key = (a1, n1, n_final)
-        rows = self.rows
-        found = rows.get(key)
-        if found is not None:
-            self.hits += 1
-            rows.move_to_end(key)
-            return found
-        self.misses += 1
-        found = _prepared_row(a1, n1, n_final)
-        self.entries += len(found[1])
-        while self.entries > self.budget and rows:
-            self.entries -= len(rows.popitem(last=False)[1][1])
-        rows[key] = found
-        return found
-
-    def clear(self) -> None:
-        self.rows.clear()
-        self.entries = self.hits = self.misses = 0
-
-
-_COUNT_ROWS = _CountRows(COUNT_ROW_BUDGET)
-
-
-def path_counts(a1: int, n1: int, n_final: int) -> tuple[int, ...]:
-    """c_s for s = a1 + 1..n_final: the number of ways to continue past a1
-    and end with s total successes, sum over i > a1 of
-    C(n1, i) C(n_final - n1, s - i), positive for exactly these s. Built
-    exactly by Pascal's rule and kept in _COUNT_ROWS with the rest of the
-    design's prepared row. As c_s <= C(n_final, s), the counts take no
-    more bytes than the binomial coefficients of n_final: 11 KB at
-    n_final = 200, 2.6 MB (built in 2 to 2.6 s) at MAX_SAMPLE_SIZE."""
-    return _COUNT_ROWS.get(a1, n1, n_final)[0]
+    return _row_terms(design.row_key, p, start, stop)
 
 
 def terminal_distribution(s: int, stage: int, p: float, design: TwoStageDesign) -> float:
@@ -329,7 +217,7 @@ def reject_prob(p: float, design: TwoStageDesign) -> float:
     a boundary p-value against the attained type-I error never splits on a
     rounding difference.
     """
-    return RowSum(partial(terminal_pmf, design), ((design.a + 1, design.n + 1, None),), True)(p)
+    return RowSum(design.row_key, ((design.a + 1, design.n + 1, None),), True)(p)
 
 
 def operating_characteristics(
@@ -390,6 +278,16 @@ def _tail(pmf1: list[float], sf2: list[float], head: list[float], a1: int, a: in
     if a < n1:
         return reduce(add, map(mul, pmf1[a : lo - 1 : -1], sf2[1 : a - lo + 2]), head[n1 - a - 1])
     return reduce(add, map(mul, pmf1[n1 : lo - 1 : -1], sf2[a - n1 + 1 : a - lo + 2]), 0.0)
+
+
+def _top_terms(p0: float, count: int) -> list[float]:
+    """The top terms P(X = m) = p0^m of Bin(m, p0) for m < count, without
+    their rows: each is the float binom_pmf_row(m, p0, m)[0], whose exponent
+    is 0.0 and whose (m - m) log(1 - p0) is -0.0, so it is exp(m log p0)."""
+    if p0 == 0.0:
+        return [1.0] + [0.0] * (count - 1)
+    log_p0 = math.log(p0)
+    return [math.exp(m * log_p0) for m in range(count)]
 
 
 def _np_power(n: int, p0: float, p1: float, level: float) -> float:
@@ -572,7 +470,7 @@ def _frontier(
         # term pmf1[n1] * sf2[n2], and sf2[n2] is pmf2[n2] clipped at 1.0.
         # Multiplying by a non-negative float is monotone, so the smallest
         # clipped sf2 over n2 <= n_max - n1 decides each n1: O(n_max).
-        last = [binom_pmf_row(m, p0, m)[0] for m in range(n_max)]
+        last = _top_terms(p0, n_max)
         prefix_min = list(accumulate((min(x, 1.0) for x in last), min))
         alpha_ok = any(
             last[n1] * prefix_min[n_max - n1] <= alpha for n1 in range(1, n_max)

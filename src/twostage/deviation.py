@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 from .binomial import RowSum, binom_pmf, binom_upper_tail
@@ -75,7 +74,7 @@ def ek_reject(analysis: DeviatedAnalysis) -> bool:
 
 def reject_prob_retained(p: float, design: TwoStageDesign, n_an: int) -> float:
     """Rejection probability when the planned bound a is kept at n_an."""
-    row = partial(terminal_pmf, design.with_final_n(n_an))
+    row = design.with_final_n(n_an).row_key
     return RowSum(row, ((design.a + 1, n_an + 1, None),), True)(p)
 
 
@@ -139,7 +138,7 @@ def interpretation_probabilities(
     # whose estimate lies above a bound are a suffix of each stage's totals
     naive = _naive_row(analysed)
     stages = ((0, analysed.a1 + 1), (analysed.a1 + 1, analysed.n + 1))
-    row = partial(terminal_pmf, analysed)
+    row = analysed.row_key
     above_p0, at_least_p1 = (
         RowSum(row, [(first(naive, bound, lo, hi), hi, None) for lo, hi in stages], True)
         for first, bound in ((bisect_right, p0), (bisect_left, p1))

@@ -28,9 +28,10 @@ from .binomial import (
     binom_pmf_row,
     binom_upper_tail,
     normal_quantile,
+    path_counts,
     solve_monotone_root,
 )
-from .design import TwoStageDesign, path_counts, terminal_pmf
+from .design import TwoStageDesign, terminal_pmf
 
 ROOT_TOL = 1e-10
 
@@ -160,7 +161,7 @@ def _estimator_mean(estimator: str, design: TwoStageDesign) -> RowSum:
         values = list(map(float, _exact_row(estimator, design)))
     else:
         raise ValueError(f"unknown estimator {estimator!r}; choose from naive, umvue, umvcue")
-    return RowSum(partial(terminal_pmf, design), ((0, design.n + 1, values),))
+    return RowSum(design.row_key, ((0, design.n + 1, values),))
 
 
 def estimator_bias(estimator: str, p: float, design: TwoStageDesign) -> tuple[float, float]:
@@ -201,7 +202,7 @@ def _stage2_counts(design: TwoStageDesign) -> Iterator[tuple[int, int, int]]:
     patients with s - 1 or s successes, so c_s = M_s + M_{s-1}, with
     M_{a1} = 0 (Pascal's rule for the last patient).
     """
-    counts = path_counts(design.a1, design.n1, design.n)
+    counts = path_counts(*design.row_key)
     last = accumulate(counts, lambda m, c: c - m, initial=0)
     return zip(range(design.a1 + 1, design.n + 1), last, counts)
 
@@ -405,7 +406,7 @@ def _q_sums(s: int, m: int, design: TwoStageDesign) -> tuple[RowSum, RowSum]:
     """q_value and q_lower_value of the terminal outcome (s, m) as functions
     of p: the suffix of terminal_pmf's row from s and its prefix up to s."""
     _check_outcome(s, m, design)
-    row = partial(terminal_pmf, design)
+    row = design.row_key
     return RowSum(row, ((s, design.n + 1, None),), True), RowSum(row, ((0, s + 1, None),), True)
 
 
@@ -571,7 +572,7 @@ def _midp_equations(s: int, design: TwoStageDesign, half: float) -> tuple[Equati
         start = bisect_left(ranks, observed, lo, hi)
         if start < hi:
             runs.append((start, hi, [0.5 if r == observed else 1.0 for r in ranks[start:hi]]))
-    tail = RowSum(partial(terminal_pmf, design), runs)
+    tail = RowSum(design.row_key, runs)
     return (tail, half), (tail, 1.0 - half)
 
 
@@ -606,7 +607,7 @@ def _cp_equations(s: int, m: int, half: float) -> Optional[tuple[Equation, Equat
     forms."""
     if s in (0, m):
         return None
-    row = partial(binom_pmf_row, m)
+    row = (m, m, m)
     upper = RowSum(row, ((s, m + 1, None),), True, partial(binom_upper_tail, s, m))
     lower = RowSum(row, ((0, s + 1, None),), True, partial(binom_cdf, s, m))
     return (upper, half), (lower, half)

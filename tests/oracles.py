@@ -354,9 +354,7 @@ def binding_constraint_oracle(p0, alpha, n_max):
     """The infeasible search's binding constraint by the quadratic loop it
     used to run: type-I error unless some (n, n1) with n <= n_max has
     pmf1[n1] * min(pmf2[n2], 1.0) <= alpha at the top terms p0^m."""
-    from twostage.binomial import binom_pmf_row
-
-    last = [binom_pmf_row(m, p0, m)[0] for m in range(n_max)]
+    last = [pmf_row_lgamma_oracle(m, p0, m)[0] for m in range(n_max)]
     alpha_ok = any(
         last[n1] * min(last[n - n1], 1.0) <= alpha
         for n in range(2, n_max + 1)
@@ -380,24 +378,23 @@ def pmf_row_lgamma_oracle(m, p, start=0, stop=None):
 
 
 def terminal_pmf_two_builders(design, p, start=0, stop=None):
-    """terminal_pmf as two builders: binom_pmf_row for the stage-1 terms
-    s <= a1, then exp(log c_s + s log p + (n - s) log(1 - p)) for the
-    stage-2 terms, each log taken afresh from the exact path count."""
-    from twostage.binomial import binom_pmf_row
-    from twostage.design import path_counts
-
+    """terminal_pmf as two builders: pmf_row_lgamma_oracle of Bin(n1, p)
+    for the stage-1 terms s <= a1, then exp(log c_s + s log p
+    + (n - s) log(1 - p)) for the stage-2 terms, each log taken afresh from
+    the path count _paths enumerates. Neither reads the kernel's prepared
+    rows."""
     n, split = design.n, design.a1 + 1
     stop = n + 1 if stop is None else stop
     if start < 0 or stop > n + 1:
         raise ValueError(f"totals {start}..{stop - 1} are outside 0..{n}")
     lo = min(start, split)
-    row = binom_pmf_row(design.n1, p, lo, max(lo, min(stop, split)))
+    row = pmf_row_lgamma_oracle(design.n1, p, lo, max(lo, min(stop, split)))
     lo = max(start, split)
     if lo >= stop:
         return row
     if 0.0 < p < 1.0:
         log_p, log_q = math.log(p), math.log1p(-p)
-        counts = path_counts(design.a1, design.n1, n)[lo - split : stop - split]
+        counts = _paths(design.a1, design.n1, n)[lo:stop]
         row += [
             math.exp(math.log(c) + s * log_p + (n - s) * log_q)
             for s, c in enumerate(counts, start=lo)

@@ -19,6 +19,9 @@ from oracles import (
 )
 from twostage.binomial import (
     MAX_SAMPLE_SIZE,
+    _COUNT_ROWS,
+    _log_factorials,
+    _totals,
     binom_cdf,
     binom_pmf,
     binom_pmf_row,
@@ -67,13 +70,39 @@ def test_pmf_row_equals_scalar_pmf(m, p):
 
 
 @pytest.mark.parametrize("m", [0, 1, 40, 1000, MAX_SAMPLE_SIZE])
-@pytest.mark.parametrize("p", [1e-300, 1e-4, 0.3137, 0.5, 1 - 1e-12])
+@pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-4, 0.3137, 0.5, 1 - 1e-12, 1 - 2.0**-53])
 def test_pmf_row_is_bit_identical_to_lgamma_terms(m, p):
     # the log-factorial table holds the same lgamma values the terms used to
     # compute, and each term adds them in the same order
     assert binom_pmf_row(m, p) == pmf_row_lgamma_oracle(m, p)
     start, stop = m // 3, m - m // 4
     assert binom_pmf_row(m, p, start, stop) == pmf_row_lgamma_oracle(m, p, start, stop)
+
+
+def test_pmf_row_reads_the_prepared_row_m_m_m():
+    # Bin(m, p) is the prepared row of the key (m, m, m): the first row at
+    # any p builds it, and every later row, slice and uncached tail reads it
+    _COUNT_ROWS.clear()
+    try:
+        for k in range(1, 21):
+            binom_pmf_row(29, k / 21)
+        assert (_COUNT_ROWS.misses, _COUNT_ROWS.hits) == (1, 19)
+        binom_pmf_row(29, 0.3, 4, 9)
+        binom_upper_tail.__wrapped__(6, 29, 0.3)
+        binom_cdf.__wrapped__(6, 29, 0.3)
+        assert (_COUNT_ROWS.misses, _COUNT_ROWS.hits) == (1, 22)
+        # p = 0 and p = 1 put all the mass on one term and read no row
+        assert binom_pmf_row(29, 0.0)[0] == binom_pmf_row(29, 1.0)[29] == 1.0
+        assert (_COUNT_ROWS.misses, _COUNT_ROWS.hits) == (1, 22)
+        # no counts, the exponents log C(29, s), the multipliers s and 29 - s
+        assert list(_COUNT_ROWS.rows) == [(29, 29, 29)] and _COUNT_ROWS.entries == 30
+        counts, exponents, totals, rests = _COUNT_ROWS.rows[(29, 29, 29)]
+        lf = _log_factorials()
+        assert counts == ()
+        assert exponents == [lf[29] - lf[s] - lf[29 - s] for s in range(30)]
+        assert totals is _totals() and rests == [float(29 - s) for s in range(30)]
+    finally:
+        _COUNT_ROWS.clear()
 
 
 def test_kernel_rejects_a_sample_size_above_the_cap():

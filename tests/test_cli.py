@@ -271,9 +271,10 @@ def test_sample_size_above_the_cap_is_invalid_input(capsys, monkeypatch, argv):
 
     for name in ("solve_monotone_root", "terminal_pmf", "umvue_fraction", "path_counts"):
         monkeypatch.setattr(f"twostage.inference.{name}", never)
-    # nor is any path-count row built, whichever module asks for it
-    monkeypatch.setattr("twostage.design.path_counts", never)
-    monkeypatch.setattr("twostage.design._prepared_row", never)
+    # nor is any prepared row built, a Bin(m, p) row included, whichever
+    # module asks for it
+    monkeypatch.setattr("twostage.binomial.path_counts", never)
+    monkeypatch.setattr("twostage.binomial._prepared_row", never)
     status, _, err = run(capsys, *argv)
     assert status == 2
     assert err.startswith("INVALID_INPUT:") and "cap" in err
@@ -313,12 +314,14 @@ def test_coverage_grid(capsys):
 
 def test_p_grid_above_the_cap_is_invalid_input(capsys, monkeypatch):
     # the points are counted before any is built, so a 10**9-point grid
-    # fails at once and no coverage is computed
+    # fails at once and no coverage is computed; a comma list counts its
+    # points against the same cap
     def never(*args, **kwargs):
         raise AssertionError("coverage computed above the p-grid cap")
 
     monkeypatch.setattr(cli, "coverage", never)
-    for spec in ("0:1:1e-9", "0:1:1e-5", "0:inf:0.1", "nan:1:0.1"):
+    too_long = ",".join(["0.5"] * (cli.MAX_P_GRID_POINTS + 1))
+    for spec in ("0:1:1e-9", "0:1:1e-5", "0:inf:0.1", "nan:1:0.1", too_long):
         status, _, err = run(
             capsys, "coverage", "--design", "1/10,5/29", "--p-grid", spec
         )
@@ -326,6 +329,7 @@ def test_p_grid_above_the_cap_is_invalid_input(capsys, monkeypatch):
         assert err.startswith("INVALID_INPUT:") and "cap" in err
     assert len(cli._parse_p_grid("0.01:0.99:0.01")) == 99
     assert len(cli._parse_p_grid("0:1:1e-4")) == cli.MAX_P_GRID_POINTS == 10_001
+    assert len(cli._parse_p_grid(",".join(["0.5"] * 10_001))) == 10_001
 
 
 def test_coverage_needs_exactly_one_p_flag(capsys):
@@ -663,10 +667,10 @@ def test_cli_import_builds_no_p_independent_table():
     # does not pay for them
     code = (
         "import sys, twostage.cli\n"
-        "from twostage import binomial as b, design as d, inference as i\n"
-        "caches = (b._log_factorials, d._totals, i._mle_grid, i._log_continuation_row,\n"
+        "from twostage import binomial as b, inference as i\n"
+        "caches = (b._log_factorials, b._totals, i._mle_grid, i._log_continuation_row,\n"
         "          i._umvue_ranks)\n"
-        "rows = d._COUNT_ROWS\n"
+        "rows = b._COUNT_ROWS\n"
         "print([c.cache_info().currsize for c in caches], len(rows.rows), rows.entries,\n"
         "      'array' in sys.modules)"
     )

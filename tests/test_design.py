@@ -7,7 +7,6 @@ import random
 import re
 import sys
 import tracemalloc
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -33,26 +32,34 @@ from oracles import (
     terminal_probs,
     ump_first_n,
 )
+import twostage.binomial as binomial_module
 import twostage.design as design_module
-from twostage.binomial import MAX_SAMPLE_SIZE, RowSum, _log_factorials, binom_pmf, binom_pmf_row
-from twostage.design import (
+from twostage.binomial import (
     COUNT_ROW_BUDGET,
+    MAX_SAMPLE_SIZE,
+    RowSum,
+    _COUNT_ROWS,
+    _CountRows,
+    _log_factorials,
+    _prepared_row,
+    _totals,
+    binom_pmf,
+    binom_pmf_row,
+    path_counts,
+)
+from twostage.design import (
     DesignTargets,
     InfeasibleDesignError,
     TwoStageDesign,
-    _COUNT_ROWS,
-    _CountRows,
     _frontier,
     _head,
     _np_lower_bound,
-    _prepared_row,
     _tables,
     _tail,
-    _totals,
+    _top_terms,
     admissible_set,
     expected_sample_size,
     operating_characteristics,
-    path_counts,
     pet,
     reject_prob,
     search_designs,
@@ -152,7 +159,7 @@ def test_terminal_pmf_rows_match_path_enumeration():
         assert row[2:] == pytest.approx([oracle[(s, 29)] for s in range(2, 30)], abs=1e-12)
         assert q_value_full_row(DESIGN.a + 1, p, DESIGN) == reject_prob(p, DESIGN)
         # an empty run past the end of the row sums to 0.0
-        assert RowSum(partial(terminal_pmf, DESIGN), ((30, 30, None),), True)(p) == 0.0
+        assert RowSum(DESIGN.row_key, ((30, 30, None),), True)(p) == 0.0
 
 
 ORACLE_DESIGNS = [(1, 5, 10, 29), (13, 40, 40, 110), (5, 13, 105, 169), (30, 80, 150, 400)]
@@ -237,7 +244,7 @@ def test_count_rows_at_the_cap_keep_their_stated_byte_bounds():
     assert (STAGE1_ENTRY, ENTRY) == (40, 740)
     assert COUNT_ROW_BUDGET * ENTRY <= 48.5e6 < 42e6 + 41e6
     try:
-        counts, exponents, totals, rests = _COUNT_ROWS.get(10, 50, n)
+        counts, exponents, totals, rests = _COUNT_ROWS.get((10, 50, n))
         assert row_bytes(counts) <= binomial_bytes
         assert max(map(sys.getsizeof, counts)) <= ENTRY - STAGE1_ENTRY - 8
         assert exponents[11:] == list(map(math.log, counts))
@@ -247,37 +254,52 @@ def test_count_rows_at_the_cap_keep_their_stated_byte_bounds():
             assert sys.getsizeof(entries) <= 8 * (n + 1) + 100
         row = row_bytes(counts) + row_bytes(exponents) + sys.getsizeof(rests)
         assert row <= ENTRY * (n + 1)
+        # the Bin(n, p) row at the cap carries no count: 40 bytes an entry
+        counts, exponents, totals, rests = _COUNT_ROWS.get((n, n, n))
+        assert counts == ()
+        assert max(map(sys.getsizeof, exponents)) == FLOAT_BYTES
+        for entries in (exponents, rests):
+            assert sys.getsizeof(entries) <= 8 * (n + 1) + 100
+        row = row_bytes(exponents) + sys.getsizeof(rests)
+        assert row <= STAGE1_ENTRY * (n + 1) + 200
     finally:
         _COUNT_ROWS.clear()
 
 
 def test_the_longest_stage1_prefix_at_the_cap_keeps_its_entry_bound():
     # a1 = n1 - 1 at the cap: 4999 stage-1 entries, which carry no count,
-    # and 2 counts of 1, an int that Python shares. The tables the row
-    # reads are built first, since every row shares them
+    # and 2 counts of 1, an int that Python shares; and the Bin(n, p) row at
+    # the cap, 5001 entries without a count. The tables the rows read are
+    # built first, since every row shares them
     _log_factorials()
     _totals()
-    _COUNT_ROWS.clear()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        path_counts(4998, 4999, MAX_SAMPLE_SIZE)
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    n = MAX_SAMPLE_SIZE
+    for key, bound in (
+        ((4998, 4999, n), STAGE1_ENTRY * 4999 + (STAGE1_ENTRY + 8) * 2 + 600),
+        ((n, n, n), STAGE1_ENTRY * (n + 1) + 600),
+    ):
         _COUNT_ROWS.clear()
-    assert grown <= STAGE1_ENTRY * 4999 + (STAGE1_ENTRY + 8) * 2 + 600
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            path_counts(*key)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            _COUNT_ROWS.clear()
+        assert grown <= bound, key
 
 
 def budget_rows():
     """The number of rows the budget can hold at most: a final size n has
-    n (n - 1) / 2 designs, each with a row of n + 1 entries, and the most
-    rows fit when they are the shortest."""
+    n (n - 1) / 2 designs and one Bin(n, p) row, each with a row of n + 1
+    entries, and the most rows fit when they are the shortest."""
     rows = entries = 0
-    for n in range(2, MAX_SAMPLE_SIZE + 1):
-        fit = min(n * (n - 1) // 2, (COUNT_ROW_BUDGET - entries) // (n + 1))
+    for n in range(MAX_SAMPLE_SIZE + 1):
+        keys = n * (n - 1) // 2 + 1
+        fit = min(keys, (COUNT_ROW_BUDGET - entries) // (n + 1))
         rows, entries = rows + fit, entries + fit * (n + 1)
-        if fit < n * (n - 1) // 2:
+        if fit < keys:
             return rows
     return rows
 
@@ -285,8 +307,10 @@ def budget_rows():
 def test_short_count_rows_keep_their_stated_overhead():
     # a row adds under 600 bytes of containers and key to its entries, and
     # the budget holds at most 3,100 rows, so the store stays under 51 MB.
-    # Every design with n <= 13, whose counts are ints that Python shares
+    # Every design with n <= 13, whose counts are ints that Python shares,
+    # and every Bin(m, p) row with m <= 13, which carries no count
     keys = [(a1, n1, n) for n in range(2, 14) for n1 in range(1, n) for a1 in range(n1)]
+    keys += [(m, m, m) for m in range(14)]
     _totals()
     _COUNT_ROWS.clear()
     tracemalloc.start()
@@ -309,7 +333,7 @@ def test_short_count_rows_keep_their_stated_overhead():
 def test_count_rows_past_the_budget_evict_the_least_recently_used(monkeypatch):
     # a row counts n + 1 entries, one a total s, whatever its a1
     store = _CountRows(budget=40)
-    monkeypatch.setattr("twostage.design._COUNT_ROWS", store)
+    monkeypatch.setattr("twostage.binomial._COUNT_ROWS", store)
     short = (0, 1, 3)  # 4 entries
     first, second, third = (2, 10, 14), (3, 11, 15), (1, 8, 12)  # 15, 16, 13 entries
     history = []
@@ -431,7 +455,7 @@ def test_a_stage2_q_value_builds_only_its_suffix(monkeypatch):
             built.append(total_of[x])
             return math.exp(x)
 
-    monkeypatch.setattr(design_module, "math", CountingMath())
+    monkeypatch.setattr(binomial_module, "math", CountingMath())
     # (function, s, m, stage-1 terms, stage-2 terms): a stage-2 q_value at s
     # builds n - s + 1 terms, all at stage 2
     cases = [
@@ -768,6 +792,39 @@ def test_binding_constraint_at_the_sample_size_cap():
     with pytest.raises(InfeasibleDesignError) as excinfo:
         search_designs(targets, "minimax", n_max=MAX_SAMPLE_SIZE)
     assert excinfo.value.binding_constraint == "type-I error"
+
+
+def test_top_terms_are_the_pmf_row_terms():
+    # exp(m log p0) is the top term of the Bin(m, p0) row bit for bit, and
+    # p0 = 0 puts all of row 0 on its one term
+    rng = random.Random(27)
+    ps = [5e-324, 1e-300, 1e-9, 0.5, 0.9, 1.0 - 2.0**-53] + [rng.random() for _ in range(40)]
+    ms = [0, 1, 2, 100, MAX_SAMPLE_SIZE - 1] + rng.sample(range(MAX_SAMPLE_SIZE), 20)
+    try:
+        for p0 in ps:
+            top = _top_terms(p0, MAX_SAMPLE_SIZE)
+            assert len(top) == MAX_SAMPLE_SIZE
+            for m in ms:
+                assert top[m] == binom_pmf_row(m, p0, m)[0], (m, p0)
+        assert _top_terms(0.0, 4) == [binom_pmf_row(m, 0.0, m)[0] for m in range(4)]
+        assert _top_terms(0.0, 4) == [1.0, 0.0, 0.0, 0.0]
+    finally:
+        _COUNT_ROWS.clear()
+
+
+def test_infeasible_search_at_the_cap_prepares_few_rows():
+    # the Neyman-Pearson bound gallops over O(log n_max) Bin rows, one key
+    # for both p, and the binding constraint reads the top terms alone, so
+    # no row of every m < n_max is prepared
+    targets = DesignTargets(0.5, 0.501, 0.05, 0.2)
+    _COUNT_ROWS.clear()
+    try:
+        with pytest.raises(InfeasibleDesignError) as excinfo:
+            search_designs(targets, "null-optimal", n_max=MAX_SAMPLE_SIZE)
+        assert excinfo.value.binding_constraint == "power"
+        assert _COUNT_ROWS.misses <= 2 * math.ceil(math.log2(MAX_SAMPLE_SIZE))
+    finally:
+        _COUNT_ROWS.clear()
 
 
 def test_np_lower_bound_past_n_max():

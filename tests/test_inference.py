@@ -22,18 +22,25 @@ from oracles import (
     midp_covered_full_row,
     midp_limits_oracle,
     midp_tail_full_row,
+    pmf_row_lgamma_oracle,
     stage_paths,
     stagewise_tails_mp,
+    terminal_pmf_two_builders,
     terminal_probs,
     umvcue_fraction_sum,
     umvue_fraction_sum,
 )
 from twostage import inference
-from twostage.binomial import binom_cdf, binom_pmf_row, binom_upper_tail, solve_monotone_root
+from twostage.binomial import (
+    _COUNT_ROWS,
+    binom_cdf,
+    binom_pmf_row,
+    binom_upper_tail,
+    solve_monotone_root,
+)
 from twostage.design import (
     DesignTargets,
     TwoStageDesign,
-    _COUNT_ROWS,
     operating_characteristics,
     terminal_pmf,
 )
@@ -811,12 +818,24 @@ def test_exact_estimates_after_terminal_pmf_build_no_second_row():
 ROW_SUM_PS = [0.0, 5e-324, 1e-300, 0.3137, 1.0 - 2.0**-53, 1.0]
 
 
+def sum_of_built_runs(f, build, p):
+    """f's sum at p with each run's terms from build(p, start, stop), an
+    oracle row that reads no prepared row."""
+    products = (
+        build(p, a, b) if w is None else map(operator.mul, w, build(p, a, b)) for a, b, w in f.runs
+    )
+    total = math.fsum(x for terms in products for x in terms)
+    return min(1.0, total) if f.capped else total
+
+
 @pytest.mark.parametrize(
     "design", DESIGNS + [DESIGN.with_final_n(26), TIED], ids=lambda d: d.compact()
 )
 def test_every_row_sum_on_a_built_row_is_the_sum_at_p(design):
     # each equation's sum, evaluated on the whole row at p, is the float it
-    # gives when called at p and builds only the terms of its runs
+    # gives when called at p and builds only the terms of its runs. A sum
+    # names its row by key, and it is the float the same runs give on the
+    # oracle rows, which are the terms of a row function bit for bit
     sums = [inference._estimator_mean(name, design) for name in ("naive", "umvue", "umvcue")]
     binomial_sums = []
     for s in range(design.n + 1):
@@ -831,12 +850,17 @@ def test_every_row_sum_on_a_built_row_is_the_sum_at_p(design):
         cp = inference.interval_equations("CP", s, m, 0.95)
         binomial_sums += [] if cp is None else [(m, f) for f, _ in cp]
     assert len(sums) == 3 + 2 * design.n + 1 + 4 * (design.n + 1)
+    assert {f.row for f in sums} == {design.row_key}
+    assert all(f.row == (m, m, m) for m, f in binomial_sums)
     for p in ROW_SUM_PS:
         row = terminal_pmf(design, p)
+        built = lambda p, a, b: terminal_pmf_two_builders(design, p, a, b)
         for f in sums:
-            assert f.on(row) == f(p), (p, f.runs)
+            assert f.on(row) == f(p) == sum_of_built_runs(f, built, p), (p, f.runs)
         for m, f in binomial_sums:
             assert f.on(binom_pmf_row(m, p)) == f(p), (p, m, f.runs)
+            lgamma_row = lambda p, a, b: pmf_row_lgamma_oracle(m, p, a, b)
+            assert f._replace(cached=None)(p) == sum_of_built_runs(f, lgamma_row, p) == f(p)
         for name in ("naive", "umvue", "umvcue"):
             expected = inference._estimator_mean(name, design).on(row)
             assert estimator_bias(name, p, design)[0] == expected, (p, name)
